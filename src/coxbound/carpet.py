@@ -12,6 +12,7 @@ with exact segment predicates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -66,26 +67,35 @@ OUTER = Square(F0, F0, F1)
 
 
 def build_carpet_approx(level: int) -> CarpetApprox:
-    """Middle-ninth carpet: at each step every kept square loses its center."""
+    """Middle-ninth carpet: at each step every kept square loses its center.
+
+    The subdivision runs on integer cells (x, y, side) in units of 3^-level;
+    each cell becomes a Square through one shared table of the coordinates
+    k / 3^level."""
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > MAX_CARPET_LEVEL:
         raise ValueError(f"level {level} exceeds guard {MAX_CARPET_LEVEL}")
-    kept = [OUTER]
-    removed: list[Square] = []
+    n = 3 ** level
+    kept = [(0, 0, n)]
+    removed: list[tuple[int, int, int]] = []
     for _ in range(level):
         nxt = []
-        for sq in kept:
-            s = sq.side / 3
+        for x, y, side in kept:
+            s = side // 3
             for i in range(3):
                 for j in range(3):
-                    sub = Square(sq.x + i * s, sq.y + j * s, s)
+                    sub = (x + i * s, y + j * s, s)
                     if i == 1 and j == 1:
                         removed.append(sub)
                     else:
                         nxt.append(sub)
         kept = nxt
-    return CarpetApprox(level, tuple(kept), tuple(removed))
+    coord = [Fraction(k, n) for k in range(n + 1)]
+    return CarpetApprox(
+        level,
+        tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in kept),
+        tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in removed))
 
 
 def null_family_check(c: CarpetApprox, epsilon: Fraction) -> int:
@@ -151,7 +161,6 @@ def verify_star_disjointness(t: Fraction, t2: Fraction) -> bool:
     if t == t2:
         raise ValueError("parameters must differ")
     a, b = StarEmbedding(t), StarEmbedding(t2)
-    marked = set(HOLED_DISK.marked)
     for i in range(1, 5):
         for j in range(1, 5):
             kind, p = segment_common(*a.leg(i), *b.leg(j))
@@ -161,9 +170,6 @@ def verify_star_disjointness(t: Fraction, t2: Fraction) -> bool:
                 return False
             if i == j and p == HOLED_DISK.marked[i - 1]:
                 continue
-            if p in marked and i != j:
-                # distinct legs may not meet even at a marked point
-                return False
             return False
     return True
 
@@ -377,22 +383,37 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     Shares no code with the router: checks each leg endpoint, pairwise
     disjointness away from the center, removed-square avoidance, and that
     peripheral boundaries are touched only at the marked points.
+
+    An exact integer bounding-box test (coordinates scaled by the lcm of all
+    denominators) runs in front of every segment_common and segment_in_box
+    call; closed sets whose closed boxes are disjoint are disjoint, so only
+    pairs that can meet reach the exact predicates and no verdict changes.
     """
     if len(star.legs) != 4:
         return False
     for leg, mark in zip(star.legs, star.marks):
         if leg[0] != star.center or leg[-1] != mark.point:
             return False
+    scale = math.lcm(*(c.denominator for leg in star.legs for p in leg for c in p),
+                     *(c.denominator for sq in carpet.removed
+                       for c in (sq.x, sq.y, sq.side)))
+    leg_boxes = [[_scaled_box(p, q, scale) for p, q in zip(leg[:-1], leg[1:])]
+                 for leg in star.legs]
+    removed_boxes = [_scaled_box((sq.x, sq.y), (sq.x + sq.side, sq.y + sq.side), scale)
+                     for sq in carpet.removed]
     # pairwise disjointness except at the shared center
     for a in range(4):
         for b in range(a + 1, 4):
-            if not _polylines_meet_only_at(star.legs[a], star.legs[b], star.center):
+            if not _polylines_meet_only_at(star.legs[a], star.legs[b], star.center,
+                                           leg_boxes[a], leg_boxes[b]):
                 return False
     # peripheral avoidance
-    for k, (leg, mark) in enumerate(zip(star.legs, star.marks)):
-        segs = list(zip(leg[:-1], leg[1:]))
-        for sq in carpet.removed:
-            for si, (p, q) in enumerate(segs):
+    for leg, mark, boxes in zip(star.legs, star.marks, leg_boxes):
+        segs = list(zip(leg[:-1], leg[1:], boxes))
+        for sq, box in zip(carpet.removed, removed_boxes):
+            for p, q, seg_box in segs:
+                if not _boxes_meet(seg_box, box):
+                    continue
                 hit = segment_in_box(p, q, sq.x, sq.y, sq.x + sq.side, sq.y + sq.side)
                 if hit is None:
                     continue
@@ -403,7 +424,7 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
                 if not (sq == mark.square and touch == mark.point):
                     return False
         # outer boundary: stay inside, touch only at an outer marked point
-        for p, q in segs:
+        for p, q, _ in segs:
             for pt in (p, q):
                 if not (F0 <= pt[0] <= F1 and F0 <= pt[1] <= F1):
                     return False
@@ -411,6 +432,24 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
                 if not (mark.square == OUTER and pt == mark.point):
                     return False
     return True
+
+
+Box = tuple[int, int, int, int]   # closed integer box (x0, y0, x1, y1)
+
+
+def _scaled_box(p: Point, q: Point, scale: int) -> Box:
+    """Closed bounding box (x0, y0, x1, y1) of segment pq, times `scale`, which
+    every coordinate's denominator divides."""
+    x0, x1 = sorted((p[0].numerator * (scale // p[0].denominator),
+                     q[0].numerator * (scale // q[0].denominator)))
+    y0, y1 = sorted((p[1].numerator * (scale // p[1].denominator),
+                     q[1].numerator * (scale // q[1].denominator)))
+    return x0, y0, x1, y1
+
+
+def _boxes_meet(a: Box, b: Box) -> bool:
+    """True iff the closed boxes share a point (touching counts)."""
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
 
 
 def _outer_touches(p: Point, q: Point) -> list[Point]:
@@ -423,9 +462,14 @@ def _outer_touches(p: Point, q: Point) -> list[Point]:
     return touches
 
 
-def _polylines_meet_only_at(a: Sequence[Point], b: Sequence[Point], allowed: Point) -> bool:
+def _polylines_meet_only_at(a: Sequence[Point], b: Sequence[Point], allowed: Point,
+                            boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> bool:
+    """True iff polylines a and b meet nowhere but at `allowed`; boxes_a and
+    boxes_b are the scaled closed boxes of their segments, in order."""
     for i in range(len(a) - 1):
         for j in range(len(b) - 1):
+            if not _boxes_meet(boxes_a[i], boxes_b[j]):
+                continue
             kind, p = segment_common(a[i], a[i + 1], b[j], b[j + 1])
             if kind == DISJOINT:
                 continue
@@ -455,9 +499,8 @@ class K5Scaffold:
         return adj
 
 
-def _default_mark_assignment(carpet: CarpetApprox, others: Sequence[int],
-                             rng=None) -> list[MarkedPoint]:
-    """Four peripheral squares for the legs toward `others`: the level-1 center
+def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint]:
+    """Four peripheral squares for the star's four legs: the level-1 center
     square plus three level-2 squares, marked at deterministic (or seeded) edge
     midpoints."""
     if carpet.level < 2:
@@ -498,7 +541,7 @@ def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
     stars = []
     for i in range(5):
         others = [j for j in range(5) if j != i]
-        assigned = _default_mark_assignment(carpets[i], others, rng)
+        assigned = _default_mark_assignment(carpets[i], rng)
         for j, mp in zip(others, assigned):
             marks[(i, j)] = mp
         try:

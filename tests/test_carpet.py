@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coxbound.carpet import (HOLED_DISK, OUTER, RoutingError, Square,
-                             StarEmbedding, build_carpet_approx,
+from coxbound.carpet import (HOLED_DISK, OUTER, CarpetStar, RoutingError,
+                             Square, StarEmbedding, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
                              scaffold_to_json, select_t_avoiding,
                              star_family_point, verify_k5_graph,
                              verify_leg_family_disjointness,
                              verify_star_disjointness, verify_star_in_carpet)
-from coxbound.geometry import POINT, segment_common
+from coxbound.geometry import (DISJOINT, OVERLAP, POINT, dist2, lerp,
+                               segment_common, segment_in_box)
 
 
 def test_carpet_counts():
@@ -20,6 +24,34 @@ def test_carpet_counts():
         assert len(c.kept) == 8 ** k
         assert len(c.removed) == (8 ** k - 1) // 7
         assert all(sq.side == F(1, 3 ** k) for sq in c.kept)
+
+
+def _reference_carpet(level):
+    """Kept and removed squares of the middle-ninth carpet, by recursion on
+    the level with Fraction arithmetic on every coordinate."""
+    if level == 0:
+        return [OUTER], []
+    kept, removed = _reference_carpet(level - 1)
+    nxt = []
+    for sq in kept:
+        s = sq.side / 3
+        for i in range(3):
+            for j in range(3):
+                sub = Square(sq.x + i * s, sq.y + j * s, s)
+                (removed if i == j == 1 else nxt).append(sub)
+    return nxt, removed
+
+
+def test_carpet_matches_reference_order():
+    """kept and removed equal the reference subdivision element by element,
+    in order (the SVG and JSON emit squares in this order)."""
+    for level in range(5):
+        c = build_carpet_approx(level)
+        kept, removed = _reference_carpet(level)
+        assert list(c.kept) == kept
+        assert list(c.removed) == removed
+        assert all(isinstance(v, F) for sq in c.kept + c.removed
+                   for v in (sq.x, sq.y, sq.side))
 
 
 def test_carpet_self_similarity():
@@ -140,7 +172,7 @@ def test_select_t_avoiding():
 def test_embed_and_verify_star():
     from coxbound.carpet import _default_mark_assignment
     c = build_carpet_approx(2)
-    marks = _default_mark_assignment(c, [1, 2, 3, 4], None)
+    marks = _default_mark_assignment(c, None)
     star = embed_star_in_carpet(c, marks)
     assert verify_star_in_carpet(c, star)
     assert len(star.legs) == 4
@@ -150,9 +182,9 @@ def test_embed_and_verify_star():
 
 
 def test_verifier_rejects_broken_star():
-    from coxbound.carpet import _default_mark_assignment, CarpetStar
+    from coxbound.carpet import _default_mark_assignment
     c = build_carpet_approx(2)
-    marks = _default_mark_assignment(c, [1, 2, 3, 4], None)
+    marks = _default_mark_assignment(c, None)
     star = embed_star_in_carpet(c, marks)
     # route a leg straight through the central removed square
     bad_leg = (star.center, (F(1, 2), F(1, 2)), star.legs[0][-1])
@@ -191,3 +223,121 @@ def test_svg_outputs():
     doc = scaffold_svg(s)
     assert "<svg" in doc and "</svg>" in doc
     assert doc == scaffold_svg(build_k5_scaffold(level=2))
+
+
+# --- the prefiltered verifier against a brute-force oracle --------------------------
+
+def _oracle_verify(carpet, star):
+    """verify_star_in_carpet's checks without any prefilter: segment_common on
+    every pair of leg segments, segment_in_box on every segment against every
+    removed square."""
+    if len(star.legs) != 4:
+        return False
+    for leg, mark in zip(star.legs, star.marks):
+        if leg[0] != star.center or leg[-1] != mark.point:
+            return False
+    segs = [list(zip(leg[:-1], leg[1:])) for leg in star.legs]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            for p, q in segs[a]:
+                for r, s in segs[b]:
+                    kind, pt = segment_common(p, q, r, s)
+                    if kind == OVERLAP or (kind != DISJOINT and pt != star.center):
+                        return False
+    for leg_segs, mark in zip(segs, star.marks):
+        for p, q in leg_segs:
+            for sq in carpet.removed:
+                hit = segment_in_box(p, q, sq.x, sq.y, sq.x + sq.side, sq.y + sq.side)
+                if hit is None:
+                    continue
+                if hit[0] != hit[1]:
+                    return False
+                if not (sq == mark.square and lerp(p, q, hit[0]) == mark.point):
+                    return False
+            for pt in (p, q):
+                if not (0 <= pt[0] <= 1 and 0 <= pt[1] <= 1):
+                    return False
+                if (pt[0] in (0, 1) or pt[1] in (0, 1)) and not (
+                        mark.square == OUTER and pt == mark.point):
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _routed_stars():
+    """(carpet, star) pairs from K5 scaffolds at level 2 (several seeds) and 3."""
+    pairs = []
+    for level, seed in ((2, None), (2, 1), (2, 2), (2, 5), (2, 7), (3, None)):
+        s = build_k5_scaffold(level=level, seed=seed)
+        pairs.extend(zip(s.carpets, s.stars))
+    return tuple(pairs)
+
+
+def _with_leg(star, k, leg):
+    return CarpetStar(star.center, star.legs[:k] + (leg,) + star.legs[k + 1:], star.marks)
+
+
+def _check_rejected(carpet, bad):
+    assert not _oracle_verify(carpet, bad)
+    assert not verify_star_in_carpet(carpet, bad)
+
+
+def test_verifier_agrees_with_oracle_on_routed_stars():
+    for carpet, star in _routed_stars():
+        assert _oracle_verify(carpet, star)
+        assert verify_star_in_carpet(carpet, star)
+
+
+_PERTURB = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PERTURB
+@given(st.data())
+def test_verifier_rejects_vertex_in_removed_square(data):
+    pairs = _routed_stars()
+    carpet, star = pairs[data.draw(st.integers(0, len(pairs) - 1), label="star")]
+    k = data.draw(st.integers(0, 3), label="leg")
+    leg = star.legs[k]
+    v = data.draw(st.integers(1, len(leg) - 2), label="vertex")
+    sq = carpet.removed[data.draw(st.integers(0, len(carpet.removed) - 1), label="square")]
+    inside = (sq.x + sq.side / 2, sq.y + sq.side / 2)
+    assert sq.contains_open(inside)
+    _check_rejected(carpet, _with_leg(star, k, leg[:v] + (inside,) + leg[v + 1:]))
+
+
+@_PERTURB
+@given(st.data())
+def test_verifier_rejects_vertex_on_other_leg(data):
+    pairs = _routed_stars()
+    carpet, star = pairs[data.draw(st.integers(0, len(pairs) - 1), label="star")]
+    k = data.draw(st.integers(0, 3), label="leg")
+    other = (k + data.draw(st.integers(1, 3), label="other leg")) % 4
+    leg, target = star.legs[k], star.legs[other]
+    v = data.draw(st.integers(1, len(leg) - 2), label="vertex")
+    # the nearest vertex or segment midpoint of the other leg, so that the
+    # moved vertex mostly stays clear of removed squares
+    on_other = min((p for j in range(len(target) - 1)
+                    for p in (target[j + 1], lerp(target[j], target[j + 1], F(1, 2)))),
+                   key=lambda p: (dist2(p, leg[v]), p))
+    assert on_other != star.center
+    _check_rejected(carpet, _with_leg(star, k, leg[:v] + (on_other,) + leg[v + 1:]))
+
+
+@_PERTURB
+@given(st.data())
+def test_verifier_rejects_other_boundary_point_of_marked_square(data):
+    pairs = _routed_stars()
+    carpet, star = pairs[data.draw(st.integers(0, len(pairs) - 1), label="star")]
+    k = data.draw(st.integers(0, 3), label="leg")
+    leg, mark = star.legs[k], star.marks[k]
+    sq = mark.square
+    boundary = [p for p in sq.corners() + tuple(
+        sq.edge_midpoint(d) for d in ("left", "right", "bottom", "top"))
+        if p != mark.point]
+    q = data.draw(st.sampled_from(boundary), label="boundary point")
+    assert sq.on_boundary(q)
+    # the last segment ends at q instead of the mark ...
+    _check_rejected(carpet, _with_leg(star, k, leg[:-1] + (q,)))
+    # ... or reaches the mark only after touching the square at q
+    _check_rejected(carpet, _with_leg(star, k, leg[:-1] + (q, mark.point)))
