@@ -25,7 +25,7 @@ from .system import (INF, CoxeterSystem, FiniteTypeVerdict, PresentationError,
                      parse_system, reciprocal_sum, subgroup_order,
                      triangle_type)
 from .words import (COSET_BACKEND, CayleyBall, CosetTable, NormalForm,
-                    WordLengthError, cayley_ball, spherical_triangle_order,
-                    tits_normal_form, todd_coxeter_enumerate, words_equal)
+                    cayley_ball, spherical_triangle_order, tits_normal_form,
+                    todd_coxeter_enumerate, words_equal)
 
 __version__ = "0.1.0"

@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PresentationError as exc:
+    except ValueError as exc:         # PresentationError and out-of-range arguments
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

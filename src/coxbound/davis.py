@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .nerve import NerveComplex, build_nerve
-from .system import INF, CoxeterSystem, geometric_representation, reciprocal_sum
-from .words import CayleyBall, cayley_ball, word_context
+from .system import INF, CoxeterSystem, geometric_representation, triangle_type
+from .words import cayley_ball, word_context
 
 Vertex = tuple[str, ...]     # ShortLex normal form
 
@@ -51,41 +51,41 @@ def build_davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
         raise ValueError("Davis ball requires a nerve of dimension <= 1 (2-complex regime)")
     ball = cayley_ball(sys, radius)
     ctx = word_context(sys)
-    in_ball = set(ball.vertices)
+    gens = sys.generators
+    pairs = [(i, j, int(sys.m(gens[i], gens[j])))
+             for i in range(sys.rank) for j in range(i + 1, sys.rank)
+             if sys.m(gens[i], gens[j]) != INF]
 
+    # Each <s,t>-coset has one shortest element g, the only member with both
+    # gs and gt longer; the coset's members then have lengths |g| .. |g| + m,
+    # so it lies in the ball exactly when |g| + m <= radius.
     faces = []
-    seen_cosets: set[tuple[str, str, Vertex]] = set()
-    for g in ball.vertices:
-        for s, t in sys.pairs():
-            m = sys.m(s, t)
-            if m == INF:
-                continue
-            cycle = _dihedral_coset_cycle(ctx, g, s, t, int(m))
-            if cycle is None:
-                continue
-            rep = min(cycle)
-            key = (s, t, rep)
-            if key in seen_cosets:
-                continue
-            seen_cosets.add(key)
-            if all(v in in_ball for v in cycle):
-                # canonical orientation: start at the ShortLex-least coset element
-                k = cycle.index(rep)
-                faces.append((s, t, tuple(cycle[k:] + cycle[:k])))
+    for g in map(ctx.encode, ball.vertices):
+        for si, ti, m in pairs:
+            if len(g) + m <= radius:
+                cycle = _dihedral_coset_cycle(ctx, g, si, ti, m)
+                if cycle is not None:
+                    names = [ctx.decode(v) for v in cycle]
+                    # canonical orientation: start at the least member in name order
+                    k = names.index(min(names))
+                    faces.append((gens[si], gens[ti], tuple(names[k:] + names[:k])))
     faces.sort()
     return DavisBall(sys, radius, ball.vertices, ball.edges, tuple(faces))
 
 
-def _dihedral_coset_cycle(ctx, g: Vertex, s: str, t: str, m: int):
-    """Boundary cycle (length 2m) of the <s,t>-coset through g, or None if a
-    member exceeds the word-length bound."""
-    si, ti = ctx.encode((s,))[0], ctx.encode((t,))[0]
-    cycle = []
-    cur = ctx.encode(g)
-    for k in range(2 * m):
-        cycle.append(ctx.decode(cur))
-        cur = ctx.multiply(cur, si if k % 2 == 0 else ti)
-    return cycle
+def _dihedral_coset_cycle(ctx, g: tuple[int, ...], s: int, t: int, m: int):
+    """Boundary cycle g, gs, gst, ... (length 2m) of the <s,t>-coset through
+    g, or None unless g is the coset's shortest element."""
+    gs, gt = ctx.multiply(g, s), ctx.multiply(g, t)
+    if len(gs) < len(g) or len(gt) < len(g):
+        return None
+    up_s, up_t = [g, gs], [g, gt]
+    for k in range(1, m):
+        up_s.append(ctx.multiply(up_s[-1], t if k % 2 else s))
+    for k in range(1, m - 1):
+        up_t.append(ctx.multiply(up_t[-1], s if k % 2 else t))
+    # going on from the longest member up_s[m], the cycle runs back down the t side
+    return up_s + up_t[:0:-1]
 
 
 def euler_characteristic(ball: DavisBall) -> int:
@@ -98,7 +98,6 @@ def vertex_link(ball: DavisBall, v: Vertex) -> LinkGraph:
     sys = ball.system
     max_m = max((int(m) for m in (sys.m(s, t) for s, t in sys.pairs()) if m != INF),
                 default=2)
-    ctx = word_context(sys)
     depth = len(v)
     if depth > ball.radius - max_m:
         raise ValueError(
@@ -140,21 +139,10 @@ def ball_to_json(ball: DavisBall) -> str:
 
 # --- triangle-group tessellations ---------------------------------------------
 
-def _triangle_kind(sys: CoxeterSystem) -> str:
-    a, b, c = sys.generators
-    total = reciprocal_sum((sys.m(a, b), sys.m(b, c), sys.m(a, c)))
-    if total > 1:
-        return "spherical"
-    if total == 1:
-        return "euclidean"
-    return "hyperbolic"
-
-
-def _fundamental_triangle(sys: CoxeterSystem) -> tuple[np.ndarray, list[np.ndarray], str]:
+def _fundamental_triangle(sys: CoxeterSystem) -> tuple[np.ndarray, list[np.ndarray]]:
     """Vertices of the fundamental chamber and reflection matrices, mapped to a
     standard model: unit sphere (spherical), plane z=1 (euclidean, via a null
     direction), or the Klein disk slice z=1 of the negative cone (hyperbolic)."""
-    kind = _triangle_kind(sys)
     from .system import cosine_matrix
 
     B = cosine_matrix(sys)
@@ -168,7 +156,7 @@ def _fundamental_triangle(sys: CoxeterSystem) -> tuple[np.ndarray, list[np.ndarr
         _, _, vh = np.linalg.svd(M)
         v = vh[-1]
         verts.append(v)
-    return np.array(verts), rhos, kind
+    return np.array(verts), rhos
 
 
 def tessellation_svg(sys: CoxeterSystem, depth: int) -> str:
@@ -190,11 +178,12 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         raise ValueError("tessellation requires a complete K_3 nerve (all m_st finite)")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if _triangle_kind(sys) == "euclidean":
+    kind = triangle_type(sys, sys.generators).kind.lower()
+    if kind == "euclidean":
         # affine case: the Tits chamber degenerates (vertices hit the form's
         # kernel), so build the Euclidean triangle directly and unfold it
-        return _euclidean_triangles(sys, depth), "euclidean"
-    verts, rhos, kind = _fundamental_triangle(sys)
+        return _euclidean_triangles(sys, depth), kind
+    verts, rhos = _fundamental_triangle(sys)
     from .system import cosine_matrix
 
     B = cosine_matrix(sys)
@@ -206,7 +195,7 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         if kind == "hyperbolic":
             # chamber vertices of a compact hyperbolic triangle lie in the negative cone
             v = v / math.sqrt(-q) if q < 0 else v / max(math.sqrt(abs(q)), 1e-12)
-            v_rows.append(v if v[2] == 0 else v)
+            v_rows.append(v)
         elif kind == "spherical":
             v_rows.append(v / math.sqrt(q))
         else:

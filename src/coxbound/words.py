@@ -1,11 +1,16 @@
-"""Word problem kernel: Tits normal forms, equality, coset enumeration, balls.
+"""Word problem kernel: ShortLex normal forms, equality, coset enumeration, balls.
 
-Normal forms use braid-move closure: by Tits' solution to the word problem,
-a word is non-reduced iff some sequence of braid moves exposes an adjacent
-equal pair, and all reduced expressions of an element are connected by braid
-moves (Matsumoto).  The ShortLex-least reduced expression is therefore the
-minimum of the braid closure of any reduced representative.  Closures are
-memoized per system.
+Normal forms come from the Brink-Howlett small roots (Brink & Howlett, Math.
+Ann. 296, 1993; Casselman, Electron. J. Combin. 9, 2002).  The small roots
+form a finite set, the smallest one that holds the simple roots and holds
+s(beta) whenever beta does and -1 < B(alpha_s, beta) < 0 (Bjorner-Brenti,
+Thm 4.7.3).  A table built once per system gives, for every small root and
+generator, the index of the reflected small root, or says that the image is
+negative (the root is alpha_s) or not small.  Multiplying a ShortLex normal
+form by a generator is then one right-to-left pass of integer lookups
+(`WordContext.multiply`), so a word of any length costs time linear in its
+length.  Every comparison that builds the table is decided exactly, in the
+cyclotomic integers Z[zeta_N].
 
 The Todd-Coxeter oracle dispatches to a compiled HLT kernel when the
 extension built; set COXBOUND_PURE_PYTHON=1 to force the pure-Python twin.
@@ -13,6 +18,7 @@ extension built; set COXBOUND_PURE_PYTHON=1 to force the pure-Python twin.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -34,34 +40,185 @@ else:
         _kernel = _coset_py
         COSET_BACKEND = "python"
 
-DEFAULT_MAX_WORD_LENGTH = 20
+
+# --- exact arithmetic in Z[zeta_N] ---------------------------------------------
+
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
 
 
-class WordLengthError(ValueError):
-    """Word exceeds the configured length bound."""
+def _cyclotomic_polynomial(n: int) -> list[int]:
+    """Coefficients, constant term first, of Phi_n = prod_{d | n} (x^d - 1)^mu(n/d)."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:          # multiply by x^d - 1
+            out = [0] * (len(poly) + d)
+            for i, c in enumerate(poly):
+                out[i + d] += c
+                out[i] -= c
+            poly = out
+    for d in divisors:
+        if _mobius(n // d) == -1:         # divide exactly by x^d - 1
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+    return poly
 
+
+class _CyclotomicRing:
+    """Z[zeta_N] for even N.  An element is a dict {e: c} (no zero values) of
+    its remainder modulo Phi_N in the power basis zeta^0 .. zeta^(phi(N)-1),
+    so two elements are equal exactly when their dicts are."""
+
+    def __init__(self, N: int):
+        phi_n = _cyclotomic_polynomial(N)
+        self.N = N
+        self.degree = d = len(phi_n) - 1
+        # zeta^e mod Phi_N for e < N/2; zeta^(N/2) = -1 gives the other half
+        half = []
+        v = [1] + [0] * (d - 1)
+        for _ in range(N // 2):
+            half.append({k: c for k, c in enumerate(v) if c})
+            top = v[-1]
+            v = [0] + v[:-1]
+            if top:
+                for k in range(d):
+                    v[k] -= top * phi_n[k]
+        self._powers = half + [{k: -c for k, c in row.items()} for row in half]
+        self._cos = [math.cos(2 * math.pi * e / N) for e in range(d)]
+        self._twocos: dict[tuple[int, int], dict[int, int]] = {}
+
+    def times_twocos(self, x: dict, m: int) -> dict:
+        """x * 2cos(pi/m), with 2cos(pi/m) = zeta^a + zeta^-a, a = N/(2m)."""
+        a = self.N // (2 * m)
+        out: dict[int, int] = {}
+        for k, c in x.items():
+            row = self._twocos.get((a, k))
+            if row is None:
+                row = _add(self._powers[(k + a) % self.N], self._powers[(k - a) % self.N])
+                self._twocos[(a, k)] = row
+            for e, r in row.items():
+                out[e] = out.get(e, 0) + c * r
+        return {e: c for e, c in out.items() if c}
+
+    def sign(self, x: dict) -> int:
+        """Sign of a real element.  The float sum of c * cos(2 pi e / N) is off
+        by less than |x|_1 * 2^-48 (cosine table and products within a few
+        ulps, fsum correctly rounded), so a value beyond |x|_1 * 2^-44 has the
+        float's sign; otherwise mpmath settles it."""
+        if not x:
+            return 0
+        l1 = sum(abs(c) for c in x.values())
+        if l1 < 2 ** 50:
+            v = math.fsum(c * self._cos[e] for e, c in x.items())
+            if abs(v) > l1 * 2.0 ** -44:
+                return 1 if v > 0 else -1
+        return self._sign_mpmath(x, l1)
+
+    def _sign_mpmath(self, x: dict, l1: int) -> int:
+        # x != 0 has |norm(x)| >= 1 and every conjugate of x is at most l1 in
+        # absolute value, so |x| >= l1^-(degree-1); evaluate with an error below it
+        import mpmath
+
+        digits = math.ceil(self.degree * math.log10(l1)) + 20
+        with mpmath.workdps(digits):
+            v = mpmath.fsum(c * mpmath.cospi(mpmath.mpf(2 * e) / self.N)
+                            for e, c in x.items())
+        return 1 if v > 0 else -1
+
+
+def _add(x: dict, y: dict, scale: int = 1) -> dict:
+    """x + scale * y."""
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+_NEG = -1     # table entry: s(alpha_s) = -alpha_s
+_BIG = -2     # table entry: the reflected root is not small
+
+
+def _small_root_table(m: Sequence[Sequence[int]]) -> list[int]:
+    """Reflection table of the small roots of the Coxeter matrix `m` (0 for
+    infinity).  Simple root i has index i; entry [beta * rank + s] is the index
+    of s(beta), or _NEG or _BIG."""
+    n = len(m)
+    finite = [m[i][j] for i in range(n) for j in range(n) if m[i][j] >= 3]
+    ring = _CyclotomicRing(2 * math.lcm(*finite) if finite else 2)
+    # a root is stored as its coordinates in the simple roots, each a sorted
+    # tuple of the (exponent, coefficient) pairs of its ring element
+    roots = [tuple(((0, 1),) if k == i else () for k in range(n)) for i in range(n)]
+    index = {root: i for i, root in enumerate(roots)}
+    table: list[int] = []
+    b = 0
+    while b < len(roots):                 # breadth first, so by depth
+        beta = [dict(c) for c in roots[b]]
+        for s in range(n):
+            if b == s:
+                table.append(_NEG)
+                continue
+            two_b = {e: 2 * c for e, c in beta[s].items()}        # 2B(alpha_s, beta)
+            for j in range(n):
+                if j != s and m[s][j] != 2 and beta[j]:
+                    term = beta[j] if m[s][j] == 0 else ring.times_twocos(beta[j], m[s][j])
+                    two_b = _add(two_b, term, -2 if m[s][j] == 0 else -1)
+            sign = ring.sign(two_b)
+            if sign == 0:
+                table.append(b)
+                continue
+            if sign < 0 and ring.sign(_add(two_b, {0: 2})) <= 0:
+                table.append(_BIG)
+                continue
+            image = list(roots[b])
+            image[s] = tuple(sorted(_add(beta[s], two_b, -1).items()))
+            image = tuple(image)
+            k = index.get(image)
+            if k is None:
+                assert sign < 0, "a small root reflected down must be small"
+                k = index[image] = len(roots)
+                roots.append(image)
+            table.append(k)
+        b += 1
+    return table
+
+
+# --- ShortLex normal forms ------------------------------------------------------
 
 class WordContext:
-    """Per-system memo tables for normal-form computation.
+    """ShortLex normal forms of one system, in generator indices.
 
-    Deterministic and observationally pure: results never depend on call
-    order.  Concurrent users should hold independent instances.
+    Holds only the system's small-root reflection table, so results never
+    depend on call order.
     """
 
-    def __init__(self, sys: CoxeterSystem, max_length: int = DEFAULT_MAX_WORD_LENGTH):
+    def __init__(self, sys: CoxeterSystem):
         self.system = sys
-        self.max_length = max_length
         self.gens = sys.generators
         self._index = {g: i for i, g in enumerate(self.gens)}
         n = sys.rank
-        self._m = [[0] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    m = sys.m(self.gens[i], self.gens[j])
-                    self._m[i][j] = 0 if m == INF else int(m)
-        self._nf_memo: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-        self._mul_memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+                    mij = sys.m(self.gens[i], self.gens[j])
+                    m[i][j] = 0 if mij == INF else int(mij)
+        self._rank = n
+        self._table = _small_root_table(m)
+
+    @property
+    def small_root_count(self) -> int:
+        return len(self._table) // max(self._rank, 1)
 
     def encode(self, word: Iterable[str]) -> tuple[int, ...]:
         try:
@@ -72,77 +229,41 @@ class WordContext:
     def decode(self, word: Sequence[int]) -> tuple[str, ...]:
         return tuple(self.gens[i] for i in word)
 
-    def _braid_closure(self, word: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """All words reachable from `word` by braid moves (same length)."""
-        seen = {word}
-        stack = [word]
-        L = len(word)
-        while stack:
-            w = stack.pop()
-            for i in range(L - 1):
-                a, b = w[i], w[i + 1]
-                if a == b:
-                    continue
-                m = self._m[a][b]
-                if m == 0 or i + m > L:
-                    continue
-                ok = True
-                for k in range(2, m):
-                    if w[i + k] != (a if k % 2 == 0 else b):
-                        ok = False
-                        break
-                if ok:
-                    repl = tuple(b if k % 2 == 0 else a for k in range(m))
-                    w2 = w[:i] + repl + w[i + m:]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        stack.append(w2)
-        return seen
-
     def normal_form(self, word: Sequence[int]) -> tuple[int, ...]:
         """ShortLex normal form of a word in generator indices."""
-        w = tuple(word)
-        if len(w) > self.max_length:
-            raise WordLengthError(f"word length {len(w)} exceeds bound {self.max_length}")
-        if w in self._nf_memo:
-            return self._nf_memo[w]
-        cur = w
-        while True:
-            cls = self._braid_closure(cur)
-            shorter = None
-            for u in cls:
-                for i in range(len(u) - 1):
-                    if u[i] == u[i + 1]:
-                        shorter = u[:i] + u[i + 2:]
-                        break
-                if shorter is not None:
-                    break
-            if shorter is None:
-                nf = min(cls) if cls else ()
-                break
-            cur = shorter
-        self._nf_memo[w] = nf
+        nf: tuple[int, ...] = ()
+        for s in word:
+            nf = self.multiply(nf, s)
         return nf
 
     def multiply(self, nf: tuple[int, ...], s: int) -> tuple[int, ...]:
-        """Normal form of (element of nf) * s, for nf already in normal form."""
-        key = (nf, s)
-        cached = self._mul_memo.get(key)
-        if cached is None:
-            cached = self.normal_form(nf + (s,))
-            self._mul_memo[key] = cached
-        return cached
+        """Normal form of (element of nf) * s, for nf already in normal form.
+
+        Walks gamma = u_i ... u_L(alpha_s) from the right.  gamma reaching
+        alpha_(u_i) means u_i is the letter that cancels.  gamma becoming a
+        simple root alpha_t with t < u_i means t is a new least left descent
+        of the suffix from u_i, which then begins with t; the leftmost such
+        position wins.  A root that is not small stays so, which ends the walk.
+        """
+        table, n = self._table, self._rank
+        gamma, at, letter = s, -1, 0
+        for i in range(len(nf) - 1, -1, -1):
+            u = nf[i]
+            if gamma == u:
+                return nf[:i] + nf[i + 1:]
+            gamma = table[gamma * n + u]
+            if gamma == _BIG:
+                break
+            if gamma < u:
+                at, letter = i, gamma
+        if at < 0:
+            return nf + (s,)
+        return nf[:at] + (letter,) + nf[at:]
 
 
-_contexts: dict[CoxeterSystem, WordContext] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def word_context(sys: CoxeterSystem) -> WordContext:
-    ctx = _contexts.get(sys)
-    if ctx is None:
-        ctx = WordContext(sys)
-        _contexts[sys] = ctx
-    return ctx
+    return WordContext(sys)
 
 
 @dataclass(frozen=True)
@@ -232,29 +353,23 @@ def cayley_ball(sys: CoxeterSystem, radius: int) -> CayleyBall:
         raise ValueError("radius must be >= 0")
     ctx = word_context(sys)
     n = sys.rank
-    ball: set[tuple[int, ...]] = {()}
     layers: list[list[tuple[int, ...]]] = [[()]]
+    edges = []
     for r in range(radius):
         nxt = set()
         for v in layers[r]:
             for s in range(n):
                 u = ctx.multiply(v, s)
-                if len(u) == len(v) + 1 and u not in ball:
+                if len(u) == len(v) + 1:
                     nxt.add(u)
-        ball.update(nxt)
+                    edges.append((v, u, s))
         if not nxt:
             break
         layers.append(sorted(nxt))
-    vertices = [v for layer in layers for v in layer]
-    edges = []
-    for v in vertices:
-        for s in range(n):
-            u = ctx.multiply(v, s)
-            if len(u) == len(v) + 1 and u in ball:
-                edges.append((ctx.decode(v), ctx.decode(u), ctx.gens[s]))
+    names = {v: ctx.decode(v) for layer in layers for v in layer}
     return CayleyBall(
         radius,
-        tuple(ctx.decode(v) for v in vertices),
-        tuple(edges),
+        tuple(names.values()),
+        tuple((names[v], names[u], ctx.gens[s]) for v, u, s in edges),
         tuple(len(layer) for layer in layers),
     )

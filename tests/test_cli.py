@@ -113,3 +113,30 @@ def test_k5_byte_deterministic(tmp_path):
     assert main(["k5", "--out", str(b)]) == 0
     assert (a / "scaffold.json").read_bytes() == (b / "scaffold.json").read_bytes()
     assert (a / "scaffold.svg").read_bytes() == (b / "scaffold.svg").read_bytes()
+
+
+K3_TEXT = "gens a b c\na b 3\nb c 3\na c 3\n"
+
+
+def test_davis_ball_large_radius(tmp_path):
+    p = tmp_path / "k3.cox"
+    p.write_text(K3_TEXT)
+    out = tmp_path / "ball.json"
+    assert main(["davis-ball", "--input", str(p), "--radius", "25", "--out", str(out)]) == 0
+    ball = json.loads(out.read_text())
+    assert max(len(v.split()) for v in ball["vertices"]) == 25
+
+
+def test_davis_ball_radius_zero_is_input_error(k4_file, capsys):
+    assert main(["davis-ball", "--input", k4_file, "--radius", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: radius must be >= 1")
+
+
+def test_tessellate_rank_4_is_input_error(k4_file, capsys):
+    assert main(["tessellate", "--input", k4_file]) == 1
+    assert capsys.readouterr().err.startswith("error: tessellation requires exactly 3")
+
+
+def test_carpet_level_beyond_guard_is_input_error(capsys):
+    assert main(["carpet", "--level", "9"]) == 1
+    assert capsys.readouterr().err.startswith("error: level 9 exceeds guard")

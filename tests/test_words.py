@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coxbound.system import complete_graph_system, make_system
-from coxbound.words import (WordLengthError, cayley_ball,
+from coxbound.system import INF, complete_graph_system, make_system, subgroup_order
+from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, cayley_ball,
                             spherical_triangle_order, tits_normal_form,
-                            todd_coxeter_enumerate, words_equal)
+                            todd_coxeter_enumerate, word_context, words_equal)
 from coxbound import _coset_py
 
 try:
@@ -48,10 +50,10 @@ def test_normal_form_properties_random():
         assert abs(tits_normal_form(sysm, [s] + list(w)).length - len(nf)) == 1
 
 
-def test_word_length_cap():
+def test_long_word_normal_form():
+    # (ab)^30 = (ab)^2 in I2(7); no word-length bound applies
     sysm = make_system("ab", {("a", "b"): 7})
-    with pytest.raises(WordLengthError):
-        tits_normal_form(sysm, "ab" * 30)
+    assert tits_normal_form(sysm, "ab" * 30).word == ("a", "b", "a", "b")
 
 
 def test_dihedral_normal_forms():
@@ -121,3 +123,176 @@ def test_cayley_ball_deterministic():
     b1 = cayley_ball(sysm, 4)
     b2 = cayley_ball(sysm, 4)
     assert b1 == b2
+
+
+# --- the small-root engine against the braid-closure oracle ----------------------
+
+def braid_closure_normal_form(m, word):
+    """ShortLex normal form by Tits' solution: a word is not reduced iff some
+    sequence of braid moves exposes an adjacent equal pair, and the reduced
+    words of an element are connected by braid moves (Matsumoto), so the
+    normal form is the least word of the braid closure of a reduced word.
+    Exponential in the word length; `m` is the Coxeter matrix, 0 for inf."""
+    cur = tuple(word)
+    while True:
+        closure = _braid_closure(m, cur)
+        shorter = next((u[:i] + u[i + 2:] for u in closure for i in range(len(u) - 1)
+                        if u[i] == u[i + 1]), None)
+        if shorter is None:
+            return min(closure)
+        cur = shorter
+
+
+def _braid_closure(m, word):
+    seen = {word}
+    stack = [word]
+    L = len(word)
+    while stack:
+        w = stack.pop()
+        for i in range(L - 1):
+            a, b = w[i], w[i + 1]
+            k = m[a][b] if a != b else 0
+            if k == 0 or i + k > L:
+                continue
+            if all(w[i + j] == (a if j % 2 == 0 else b) for j in range(2, k)):
+                repl = tuple(b if j % 2 == 0 else a for j in range(k))
+                w2 = w[:i] + repl + w[i + k:]
+                if w2 not in seen:
+                    seen.add(w2)
+                    stack.append(w2)
+    return seen
+
+
+LABELS = [2, 3, 4, 5, 6, INF]
+
+
+@st.composite
+def systems(draw, max_rank=4):
+    n = draw(st.integers(1, max_rank), label="rank")
+    gens = "abcd"[:n]
+    labels = {(gens[i], gens[j]): draw(st.sampled_from(LABELS))
+              for i in range(n) for j in range(i + 1, n)}
+    return make_system(gens, labels)
+
+
+def coxeter_matrix(sysm):
+    gens = sysm.generators
+    return [[0 if s == t or sysm.m(s, t) == INF else int(sysm.m(s, t)) for t in gens]
+            for s in gens]
+
+
+_PROPERTY = settings(max_examples=150, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(st.data())
+def test_normal_form_matches_braid_closure_oracle(data):
+    sysm = data.draw(systems(), label="system")
+    ctx = word_context(sysm)
+    words = st.lists(st.integers(0, sysm.rank - 1), max_size=9)
+    for _ in range(5):
+        w = data.draw(words, label="word")
+        assert ctx.normal_form(w) == braid_closure_normal_form(coxeter_matrix(sysm), w)
+
+
+@_PROPERTY
+@given(st.data())
+def test_normal_form_idempotent_and_braid_invariant(data):
+    sysm = data.draw(systems(), label="system")
+    ctx = word_context(sysm)
+    w = data.draw(st.lists(st.integers(0, sysm.rank - 1), max_size=40), label="word")
+    nf = ctx.normal_form(w)
+    assert ctx.normal_form(nf) == nf
+    s = data.draw(st.integers(0, sysm.rank - 1), label="s")
+    assert ctx.normal_form(w + [s, s]) == nf
+    assert ctx.normal_form([s, s] + w) == nf
+    finite = [(i, j, int(sysm.m(sysm.generators[i], sysm.generators[j])))
+              for i in range(sysm.rank) for j in range(i + 1, sysm.rank)
+              if sysm.m(sysm.generators[i], sysm.generators[j]) != INF]
+    if finite:
+        i, j, m = data.draw(st.sampled_from(finite), label="pair")
+        k = data.draw(st.integers(0, len(w)), label="position")
+        braid_ij = [i if n % 2 == 0 else j for n in range(m)]
+        braid_ji = [j if n % 2 == 0 else i for n in range(m)]
+        assert (ctx.normal_form(w[:k] + braid_ij + w[k:])
+                == ctx.normal_form(w[:k] + braid_ji + w[k:]))
+
+
+def path_system(labels, branch=None):
+    """Generators s1..sn on a path with the given labels; `branch` = (i, m)
+    adds s(n+1) joined to s_i by m (for D and E diagrams)."""
+    n = len(labels) + 1
+    gens = [f"s{k + 1}" for k in range(n + (branch is not None))]
+    lab = {(g, h): 2 for a, g in enumerate(gens) for h in gens[a + 1:]}
+    for k, m in enumerate(labels):
+        lab[(gens[k], gens[k + 1])] = m
+    if branch is not None:
+        lab[(gens[branch[0] - 1], gens[-1])] = branch[1]
+    return make_system(gens, lab)
+
+
+FINITE_TYPES = [
+    *[(f"A{n}", path_system([3] * (n - 1)), n * (n + 1) // 2) for n in range(2, 7)],
+    *[(f"B{n}", path_system([4] + [3] * (n - 2)), n * n) for n in range(2, 6)],
+    *[(f"D{n}", path_system([3] * (n - 2), branch=(n - 2, 3)), n * (n - 1)) for n in range(4, 7)],
+    ("E6", path_system([3] * 4, branch=(3, 3)), 36),
+    ("E7", path_system([3] * 5, branch=(3, 3)), 63),
+    ("E8", path_system([3] * 6, branch=(3, 3)), 120),
+    ("F4", path_system([3, 4, 3]), 24),
+    ("H3", path_system([5, 3]), 15),
+    ("H4", path_system([5, 3, 3]), 60),
+    *[(f"I2({m})", path_system([m]), m) for m in range(3, 13)],
+]
+
+
+@pytest.mark.parametrize("name,sysm,reflections", FINITE_TYPES,
+                         ids=[name for name, _, _ in FINITE_TYPES])
+def test_small_roots_of_finite_types_are_all_positive_roots(name, sysm, reflections):
+    assert subgroup_order(sysm, sysm.generators) is not None
+    assert word_context(sysm).small_root_count == reflections
+
+
+BALL_TYPES = [t for t in FINITE_TYPES if t[0] in ("A4", "B4", "D4", "F4", "H3")]
+
+
+@pytest.mark.parametrize("name,sysm,reflections", BALL_TYPES,
+                         ids=[name for name, _, _ in BALL_TYPES])
+def test_cayley_ball_is_whole_finite_group(name, sysm, reflections):
+    # the longest element has length = number of reflections
+    ball = cayley_ball(sysm, reflections + 1)
+    assert ball.size == subgroup_order(sysm, sysm.generators)
+    assert ball.sphere_sizes[-1] == 1
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = _cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_sign_beyond_float_resolution(monkeypatch):
+    """g = 2cos(pi/5) is the golden ratio, and L_k - g^k = (-1/g)^k with the
+    Lucas number L_k is far below the float bound of its coefficients, so
+    only the exact fallback can give its sign."""
+    ring = _CyclotomicRing(10)
+    fallback = []
+    exact = ring._sign_mpmath
+    monkeypatch.setattr(ring, "_sign_mpmath", lambda x, l1: fallback.append(x) or exact(x, l1))
+    power, lucas = {0: 1}, [2, 1]
+    for k in range(1, 61):
+        power = ring.times_twocos(power, 5)
+        lucas.append(lucas[-1] + lucas[-2])
+        x = {e: -c for e, c in power.items()}
+        x[0] = x.get(0, 0) + lucas[k]
+        x = {e: c for e, c in x.items() if c}
+        assert ring.sign(x) == (-1) ** k
+    assert len(fallback) > 10
