@@ -536,7 +536,7 @@ def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
     import random
 
     rng = random.Random(seed) if seed is not None else None
-    carpets = tuple(build_carpet_approx(level) for _ in range(5))
+    carpets = (build_carpet_approx(level),) * 5   # immutable, so one is shared
     marks: dict[tuple[int, int], MarkedPoint] = {}
     stars = []
     for i in range(5):

@@ -9,13 +9,14 @@ refused with a machine-readable OutOfScope reason rather than guessed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve
 from .system import (EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type,
-                     reciprocal_sum, triangle_type)
+                     triangle_type)
 
 CIRCLE = "Circle"
 SIERPINSKI_CARPET = "SierpinskiCarpet"
@@ -54,12 +55,8 @@ def serre_fa_criterion(sys: CoxeterSystem) -> bool:
 
 def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
     """All 3-subsets whose reciprocal label sum is exactly 1 (flat sources)."""
-    out = []
-    for trip in combinations(sys.generators, 3):
-        ms = (sys.m(trip[0], trip[1]), sys.m(trip[1], trip[2]), sys.m(trip[0], trip[2]))
-        if reciprocal_sum(ms) == 1:
-            out.append(trip)
-    return out
+    return [trip for trip in combinations(sys.generators, 3)
+            if triangle_type(sys, trip).kind == EUCLIDEAN]
 
 
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
@@ -68,9 +65,9 @@ def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
     complete, _ = is_complete_1d_nerve(nerve)
     if not complete:
         raise ValueError("isolated_flats_check requires a complete 1-dimensional nerve")
+    twos = Counter(v for e in nerve.edges() if sys.m(*e) == 2 for v in e)
     for v in nerve.vertices:
-        twos = [e for e in nerve.edges() if v in e and sys.m(*e) == 2]
-        if len(twos) >= 2:
+        if twos[v] >= 2:
             # would contradict 1-dimensionality: a (2,2,m) triple is finite
             raise AssertionError(
                 f"nerve inconsistency: vertex {v} has two incident edges labeled 2")
@@ -85,7 +82,7 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
         (trip, triangle_type(sys, trip)) for trip in combinations(sys.generators, 3)
     )
     fa = serre_fa_criterion(sys)
-    euclidean = euclidean_triple_scan(sys)
+    euclidean = [trip for trip, tt in census if tt.kind == EUCLIDEAN]
     has_euc = bool(euclidean)
     hyperbolic = not has_euc
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys as _sys
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from pathlib import Path
 
 from .carpet import (RoutingError, build_carpet_approx, build_k5_scaffold,
@@ -178,8 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on first use, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:         # PresentationError and out-of-range arguments

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 
 import networkx as nx
 
@@ -40,6 +40,7 @@ class NerveComplex:
         return g
 
 
+@lru_cache(maxsize=128)
 def edge_length_fraction(m: int) -> Fraction:
     """Angular length of a nerve edge with label m, as a multiple of pi."""
     return Fraction(m - 1, m)

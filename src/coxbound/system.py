@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -58,7 +59,21 @@ class CoxeterSystem:
         return len(self.generators)
 
     def index(self, s: str) -> int:
-        return self.generators.index(s)
+        try:
+            return self.diagram_index[0][s]
+        except KeyError:
+            raise ValueError(f"{s!r} is not a generator") from None
+
+    @cached_property
+    def diagram_index(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """The position of each generator, and per position the bit mask of its
+        Coxeter-diagram neighbours (m_st >= 3, infinity included).  Built on
+        first use; the system is immutable, so it never goes stale."""
+        position = {g: i for i, g in enumerate(self.generators)}
+        neighbours = tuple(
+            sum(1 << j for j, t in enumerate(self.generators) if t != s and self.m(s, t) >= 3)
+            for s in self.generators)
+        return position, neighbours
 
     def pairs(self):
         gens = self.generators
@@ -169,16 +184,26 @@ def reciprocal_sum(ms: Iterable[float]) -> Fraction:
 
 
 def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
-    """Spherical / Euclidean / Hyperbolic by exact reciprocal-sum comparison."""
+    """Spherical / Euclidean / Hyperbolic by an exact integer comparison.
+
+    The reciprocal sum of the labels is compared with 1 with its denominators
+    cleared: num / den accumulates 1/m over the finite labels, so for labels
+    a, b, c this compares ab + bc + ca with abc; an infinite label adds 0.
+    """
     trip = tuple(triple)
     if len(set(trip)) != 3:
         raise ValueError("triangle_type needs exactly 3 distinct generators")
     r, s, t = trip
-    ms = (sys.m(r, s), sys.m(s, t), sys.m(r, t))
-    total = reciprocal_sum(ms)
-    if total > 1:
+    label = sys.orders.get
+    ms = (label((r, s), INF), label((s, t), INF), label((r, t), INF))
+    num, den = 0, 1
+    for m in ms:
+        if m != INF:
+            m = int(m)
+            num, den = num * m + den, den * m
+    if num > den:
         kind = SPHERICAL
-    elif total == 1:
+    elif num == den:
         kind = EUCLIDEAN
     else:
         kind = HYPERBOLIC
@@ -193,23 +218,26 @@ def irreducible_components(sys: CoxeterSystem, subset: Iterable[str]) -> list[tu
     Diagram edges are the pairs with m_st >= 3 (including infinity); m_st = 2
     means the generators commute and live in different components.
     """
-    sub = [g for g in sys.generators if g in set(subset)]
-    seen: set[str] = set()
+    # subsets are bit masks over generator positions; each component grows from
+    # its lowest member, so components come out in generator order, each sorted
+    position, neighbours = sys.diagram_index
+    gens = sys.generators
+    members = 0
+    for g in subset:
+        i = position.get(g)
+        if i is not None:
+            members |= 1 << i
     comps = []
-    for g in sub:
-        if g in seen:
-            continue
-        comp = [g]
-        seen.add(g)
-        stack = [g]
-        while stack:
-            u = stack.pop()
-            for v in sub:
-                if v not in seen and sys.m(u, v) >= 3:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp, key=sys.index)))
+    while members:
+        comp = frontier = members & -members
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = neighbours[low.bit_length() - 1] & members & ~comp
+            comp |= grown
+            frontier |= grown
+        members ^= comp
+        comps.append(tuple(gens[i] for i in range(comp.bit_length()) if comp >> i & 1))
     return comps
 
 
@@ -230,16 +258,12 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
     n = len(comp)
     if n == 1:
         return "A1"
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = sys.m(comp[i], comp[j])
-            if m >= 3:
-                edges.append((comp[i], comp[j], m))
-    if any(m == INF for _, _, m in edges):
-        return None
+    label = sys.orders.get
     if n == 2:
-        m = int(edges[0][2])
+        m = label((comp[0], comp[1]), INF)
+        if m == INF:
+            return None
+        m = int(m)
         if m == 3:
             return "A2"
         if m == 4:
@@ -247,31 +271,42 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
         if m == 6:
             return "G2"
         return f"I2({m})"
-    # rank >= 3: finite-type diagrams are trees
-    if len(edges) != n - 1:
+    # from rank 3 on, finite-type diagrams are trees with no infinite label:
+    # the scan stops at the first infinite label or the n-th edge
+    adj: dict[str, list[tuple[str, int]]] = {g: [] for g in comp}
+    edges = 0
+    for i, s in enumerate(comp):
+        for t in comp[i + 1:]:
+            m = label((s, t), INF)
+            if m == INF:
+                return None
+            if m >= 3:
+                edges += 1
+                if edges == n:
+                    return None
+                m = int(m)
+                adj[s].append((t, m))
+                adj[t].append((s, m))
+    if edges != n - 1:
         return None
-    deg = {g: 0 for g in comp}
-    for s, t, _ in edges:
-        deg[s] += 1
-        deg[t] += 1
-    branch = [g for g in comp if deg[g] >= 3]
-    labels = sorted(int(m) for _, _, m in edges)
-    if len(branch) > 1 or any(deg[g] > 3 for g in comp):
+    branch = [g for g in comp if len(adj[g]) >= 3]
+    if len(branch) > 1 or any(len(adj[g]) > 3 for g in comp):
         return None
-    if len(branch) == 1:
+    if branch:
         # D_n / E6 / E7 / E8: all labels 3, branch arm lengths (1,1,k) or (1,2,k)
-        if labels != [3] * (n - 1):
+        center = branch[0]
+        arms = [_walk_labels(adj, center, v, m) for v, m in adj[center]]
+        if any(m != 3 for arm in arms for m in arm):
             return None
-        arms = sorted(_arm_lengths(comp, edges, branch[0]))
-        if arms[0] == 1 and arms[1] == 1:
+        lengths = sorted(len(arm) for arm in arms)
+        if lengths[0] == 1 and lengths[1] == 1:
             return f"D{n}"
-        if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-            return {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
+        if lengths[:2] == [1, 2] and lengths[2] in (2, 3, 4):
+            return {2: "E6", 3: "E7", 4: "E8"}[lengths[2]]
         return None
     # path: locate the non-3 labels
-    ends = [g for g in comp if deg[g] == 1]
-    order = _path_order(comp, edges, ends[0])
-    path_labels = [int(sys.m(order[i], order[i + 1])) for i in range(n - 1)]
+    end = next(g for g in comp if len(adj[g]) == 1)
+    path_labels = _walk_labels(adj, end, *adj[end][0])
     big = [(i, m) for i, m in enumerate(path_labels) if m != 3]
     if not big:
         return f"A{n}"
@@ -288,38 +323,15 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
     return None
 
 
-def _arm_lengths(comp, edges, center):
-    adj = {g: [] for g in comp}
-    for s, t, _ in edges:
-        adj[s].append(t)
-        adj[t].append(s)
-    lengths = []
-    for start in adj[center]:
-        ln = 1
-        prev, cur = center, start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            ln += 1
-        lengths.append(ln)
-    return lengths
-
-
-def _path_order(comp, edges, end):
-    adj = {g: [] for g in comp}
-    for s, t, _ in edges:
-        adj[s].append(t)
-        adj[t].append(s)
-    order = [end]
-    prev = None
-    cur = end
-    while len(order) < len(comp):
-        nxt = [v for v in adj[cur] if v != prev][0]
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
+def _walk_labels(adj, prev, cur, m):
+    """Labels of the path that starts with the edge prev - cur (label m) and
+    runs on through vertices of degree 2 until it reaches a leaf."""
+    labels = [m]
+    while len(adj[cur]) == 2:
+        (a, ma), (b, mb) = adj[cur]
+        prev, cur, m = (cur, b, mb) if a == prev else (cur, a, ma)
+        labels.append(m)
+    return labels
 
 
 def is_finite_type(sys: CoxeterSystem, subset: Iterable[str]) -> FiniteTypeVerdict:

@@ -1,4 +1,7 @@
 import json
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -59,6 +62,27 @@ def test_euclidean_triples():
     assert euclidean_triple_scan(complete_graph_system(5, label=4)) == []
     sysm = make_system("abc", {("a", "b"): 2, ("b", "c"): 4, ("a", "c"): 4})
     assert euclidean_triple_scan(sysm) == [("a", "b", "c")]
+
+
+def test_euclidean_triples_match_fraction_scan():
+    """Seeded complete systems of rank 3-8: the scan and the report's
+    euclidean_triples both equal a brute-force Fraction reciprocal-sum scan."""
+    rng = random.Random(505)
+    found = 0
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        gens = [f"s{i + 1}" for i in range(n)]
+        sysm = complete_graph_system(
+            n, labels={p: rng.choice([2, 3, 3, 4, 4, 6, 6, 7, 12]) for p in combinations(gens, 2)})
+        expected = [
+            trip for trip in combinations(gens, 3)
+            if sum(Fraction(1, int(sysm.m(s, t))) for s, t in combinations(trip, 2)) == 1
+        ]
+        assert euclidean_triple_scan(sysm) == expected
+        euclidean = report_to_dict(classify_boundary(sysm))["euclidean_triples"]
+        assert euclidean == [list(t) for t in expected]
+        found += len(expected)
+    assert found > 100
 
 
 def test_hyperbolic_flag():

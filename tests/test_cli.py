@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxbound.cli import main
+from coxbound.cli import build_parser, main
 
 
 K4_TEXT = "gens a b c d\n" + "\n".join(
@@ -35,6 +35,23 @@ def test_classify_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cox"
     bad.write_text("gens a b\na b 1\n")
     assert main(["classify", "--input", str(bad)]) == 1
+
+
+def test_parser_reused_across_calls(k4_file, tmp_path, capsys):
+    """main keeps one parser per process; a rejected argv or a failed request
+    leaves nothing behind that changes the next request."""
+    first = main(["classify", "--input", k4_file])
+    first_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["classify", "--input", str(tmp_path / "missing.cox")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    again = main(["classify", "--input", k4_file])
+    assert (again, capsys.readouterr()) == (first, first_out)
+    assert first == 0 and first_out.out
+    assert build_parser() is not build_parser()
 
 
 def test_sweep_csv(capsys):

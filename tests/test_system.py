@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import math
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxbound.system import (INF, CoxeterSystem, PresentationError,
                              complete_graph_system, cosine_matrix, format_system,
                              irreducible_components, is_finite_type, make_system,
                              parse_system, reciprocal_sum, subgroup_order,
                              triangle_type)
+from coxbound.words import todd_coxeter_enumerate
 
 
 def triangle(a, b, c):
@@ -67,6 +71,18 @@ def test_triangle_type_trichotomy():
     assert triangle_type(triangle(2, 3, INF), "xyz").kind == "Hyperbolic"
 
 
+def test_triangle_kind_matches_fraction_sum():
+    """The integer comparison agrees with the Fraction reciprocal sum on every
+    label triple over {2, ..., 12, inf}."""
+    labels = list(range(2, 13)) + [INF]
+    for ms in product(labels, repeat=3):
+        total = sum((Fraction(1, m) for m in ms if m != INF), Fraction(0))
+        expected = ("Spherical" if total > 1 else "Euclidean" if total == 1
+                    else "Hyperbolic")
+        tt = triangle_type(triangle(*ms), "xyz")
+        assert (tt.kind, tt.triple) == (expected, ms), ms
+
+
 def test_irreducible_components():
     sysm = make_system("abcd", {("a", "b"): 3, ("c", "d"): 5,
                                 ("a", "c"): 2, ("a", "d"): 2,
@@ -76,6 +92,14 @@ def test_irreducible_components():
     # an infinite label joins components
     joined = make_system("abc", {("a", "b"): 3, ("b", "c"): 2})
     assert len(irreducible_components(joined, "abc")) == 1
+    # components and their members follow generator order, not name order;
+    # names outside the system are ignored
+    rev = make_system("dcba", {("d", "c"): 2, ("d", "b"): 2, ("d", "a"): 3,
+                               ("c", "b"): 5, ("c", "a"): 2, ("b", "a"): 2})
+    assert irreducible_components(rev, "abcdz") == [("d", "a"), ("c", "b")]
+    assert rev.index("a") == 3
+    with pytest.raises(ValueError):
+        rev.index("z")
 
 
 # orders of the classified finite groups, from the standard tables
@@ -146,3 +170,52 @@ def test_cosine_matrix_values():
     assert B[0, 1] == pytest.approx(-math.cos(math.pi / 2))
     assert B[1, 2] == pytest.approx(-math.cos(math.pi / 3))
     assert B[0, 2] == pytest.approx(-math.cos(math.pi / 4))
+
+
+# --- properties ---------------------------------------------------------------
+
+@st.composite
+def small_systems(draw, max_rank=4):
+    """Systems of rank <= 4 with labels from {2, ..., 6, inf}."""
+    n = draw(st.integers(1, max_rank), label="rank")
+    gens = "abcd"[:n]
+    labels = {(s, t): draw(st.sampled_from([2, 3, 4, 5, 6, INF]))
+              for i, s in enumerate(gens) for t in gens[i + 1:]}
+    return make_system(gens, labels)
+
+
+# the largest finite group drawn is H4 (order 14400); its enumeration defines
+# at most 16,536 cosets over every generator order
+COSET_CAP = 20_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_finite_type_matches_todd_coxeter(data):
+    sysm = data.draw(small_systems(), label="system")
+    subset = data.draw(st.lists(st.sampled_from(sysm.generators), min_size=1,
+                                unique=True), label="subset")
+    table = todd_coxeter_enumerate(sysm, subset, cap=COSET_CAP)
+    if is_finite_type(sysm, subset).finite:
+        assert table.complete
+        assert table.order == subgroup_order(sysm, subset)
+    else:
+        assert not table.complete
+        assert table.order is None
+
+
+# generator names are any tokens without whitespace or "#"
+_NAMES = st.text(alphabet="abcxyzAB_019", min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parse_format_roundtrip(data):
+    gens = data.draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True), label="gens")
+    label = st.integers(2, 1000) | st.just(INF)
+    labels = {(s, t): data.draw(label)
+              for i, s in enumerate(gens) for t in gens[i + 1:]}
+    sysm = make_system(gens, labels)
+    text = format_system(sysm)
+    assert parse_system(text) == sysm
+    assert format_system(parse_system(text)) == text
