@@ -12,33 +12,21 @@ form by a generator is then one right-to-left pass of integer lookups
 length.  Every comparison that builds the table is decided exactly, in the
 cyclotomic integers Z[zeta_N].
 
-The Todd-Coxeter oracle dispatches to a compiled HLT kernel when the
-extension built; set COXBOUND_PURE_PYTHON=1 to force the pure-Python twin.
+The Todd-Coxeter oracle is a pure-Python HLT enumeration over involutory
+generators, with a symmetric coset table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .system import INF, CoxeterSystem
 
-from . import _coset_py
-
-if os.environ.get("COXBOUND_PURE_PYTHON"):
-    _kernel = _coset_py
-    COSET_BACKEND = "python"
-else:
-    try:
-        from . import _coset as _kernel  # type: ignore[attr-defined]
-
-        COSET_BACKEND = "cython"
-    except ImportError:
-        _kernel = _coset_py
-        COSET_BACKEND = "python"
+# Name of the one coset kernel below; benchmark results record it.
+COSET_BACKEND = "python"
 
 
 # --- exact arithmetic in Z[zeta_N] ---------------------------------------------
@@ -307,6 +295,114 @@ def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[list[int
     return rels
 
 
+def _enumerate_cosets(n_gens: int, relators: list[list[int]], cap: int) -> tuple[bool, int, int]:
+    """HLT enumeration of the cosets of the trivial subgroup.
+
+    Every generator is an involution, so it is its own inverse and the table
+    is symmetric: table[a][x] == b iff table[b][x] == a.  `relators` are words
+    in generator indices, the involution relators s^2 included by the caller.
+    `cap` bounds the total number of cosets ever defined (live + dead).
+    Returns (complete, order, cosets_defined); order is the live-coset count
+    when complete, else 0.
+    """
+    table = [[-1] * n_gens]      # row per coset
+    p = [0]                      # union-find parent, p[i] <= i
+
+    def rep(k: int) -> int:
+        while p[k] != k:
+            k = p[k]
+        return k
+
+    def merge(a: int, b: int, queue: list[int]) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            p[b] = a
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        queue: list[int] = []
+        merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            g = queue[i]
+            i += 1
+            row = table[g]
+            for x in range(n_gens):
+                d = row[x]
+                if d == -1:
+                    continue
+                table[d][x] = -1
+                row[x] = -1
+                mu, nu = rep(g), rep(d)
+                if table[mu][x] != -1:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x] != -1:
+                    merge(mu, table[nu][x], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x] = mu
+
+    def define(a: int, x: int) -> int:
+        if len(table) >= cap:
+            return -1
+        n = len(table)
+        table.append([-1] * n_gens)
+        p.append(n)
+        table[a][x] = n
+        table[n][x] = a
+        return n
+
+    def scan_and_fill(a: int, w: list[int]) -> bool:
+        """Scan relator w at coset a, defining cosets to fill gaps.
+
+        Returns False when the coset cap is hit.
+        """
+        f, i = a, 0
+        b, j = a, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] != -1:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            while j >= i and table[b][w[j]] != -1:
+                b = table[b][w[j]]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return True
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i]] = f
+                return True
+            if define(f, w[i]) == -1:
+                return False
+
+    alpha = 0
+    while alpha < len(table):
+        if p[alpha] != alpha:
+            alpha += 1
+            continue
+        for w in relators:
+            if not scan_and_fill(alpha, w):
+                return False, 0, len(table)
+            if p[alpha] != alpha:
+                break
+        if p[alpha] == alpha:
+            for x in range(n_gens):
+                if table[alpha][x] == -1:
+                    if define(alpha, x) == -1:
+                        return False, 0, len(table)
+        alpha += 1
+
+    order = sum(1 for k in range(len(p)) if p[k] == k)
+    return True, order, len(table)
+
+
 def todd_coxeter_enumerate(sys: CoxeterSystem, subset: Iterable[str],
                            cap: int = 100_000) -> CosetTable:
     """Enumerate the special subgroup generated by `subset` over the trivial
@@ -314,11 +410,12 @@ def todd_coxeter_enumerate(sys: CoxeterSystem, subset: Iterable[str],
     the order; hitting the cap yields Incomplete (no infiniteness claim)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    sub = tuple(g for g in sys.generators if g in set(subset))
+    wanted = set(subset)
+    sub = tuple(g for g in sys.generators if g in wanted)
     if not sub:
         return CosetTable(sub, True, 1, 1, cap)
     relators = coxeter_relators(sys, sub)
-    complete, order, defined = _kernel.enumerate_cosets(len(sub), relators, cap)
+    complete, order, defined = _enumerate_cosets(len(sub), relators, cap)
     return CosetTable(sub, complete, order if complete else None, defined, cap)
 
 

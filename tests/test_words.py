@@ -8,14 +8,6 @@ from coxbound.system import INF, complete_graph_system, make_system, subgroup_or
 from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, cayley_ball,
                             spherical_triangle_order, tits_normal_form,
                             todd_coxeter_enumerate, word_context, words_equal)
-from coxbound import _coset_py
-
-try:
-    from coxbound import _coset
-except ImportError:
-    _coset = None
-
-from coxbound.words import coxeter_relators
 
 
 def triangle(a, b, c):
@@ -90,16 +82,13 @@ def test_todd_coxeter_subsets():
     assert todd_coxeter_enumerate(sysm, ["s1", "s3"]).order == 6
 
 
-def test_kernels_agree():
-    if _coset is None:
-        pytest.skip("compiled kernel not built")
-    cases = [triangle(2, 3, 5), triangle(3, 3, 3), triangle(2, 4, 4),
-             complete_graph_system(4)]
-    for sysm in cases:
-        rels = coxeter_relators(sysm, sysm.generators)
-        a = _coset.enumerate_cosets(sysm.rank, rels, 20_000)
-        b = _coset_py.enumerate_cosets(sysm.rank, rels, 20_000)
-        assert a[:2] == b[:2]
+def test_todd_coxeter_subset_may_be_any_iterable():
+    sysm = complete_graph_system(4, labels={("s2", "s4"): 2})
+    for gens, order in ((["s1", "s3"], 6), (["s2", "s3", "s4"], 24)):
+        expected = todd_coxeter_enumerate(sysm, gens)
+        assert expected.subset == tuple(gens) and expected.order == order
+        assert todd_coxeter_enumerate(sysm, iter(gens)) == expected
+        assert todd_coxeter_enumerate(sysm, (g for g in gens)) == expected
 
 
 def test_cayley_ball_dihedral():
@@ -251,6 +240,33 @@ FINITE_TYPES = [
 def test_small_roots_of_finite_types_are_all_positive_roots(name, sysm, reflections):
     assert subgroup_order(sysm, sysm.generators) is not None
     assert word_context(sysm).small_root_count == reflections
+
+
+# (name, system, cap, complete, order, cosets_defined).  cosets_defined pins
+# the kernel's definition order (relator order, s^2 scans, row fill), which
+# the benchmark's word-problem digest hashes.  The first four are the
+# word-problem workload's BENCH_COSET_CASES, with their caps.
+COSET_PINS = [
+    ("(2,3,5)", complete_graph_system(3, labels={("s1", "s2"): 2, ("s1", "s3"): 3,
+                                                 ("s2", "s3"): 5}), 100_000, True, 120, 120),
+    ("(2,3,7)", complete_graph_system(3, labels={("s1", "s2"): 2, ("s1", "s3"): 3,
+                                                 ("s2", "s3"): 7}), 50_000, False, None, 50_000),
+    ("K3 all-3", complete_graph_system(3), 100_000, False, None, 100_000),
+    ("K4 all-3", complete_graph_system(4), 100_000, False, None, 100_000),
+    ("A5", path_system([3] * 4), 100_000, True, 720, 785),
+    ("B5", path_system([4, 3, 3, 3]), 100_000, True, 3840, 4519),
+    ("D5", path_system([3, 3, 3], branch=(3, 3)), 100_000, True, 1920, 1967),
+    ("F4", path_system([3, 4, 3]), 100_000, True, 1152, 1198),
+    ("H3", path_system([5, 3]), 100_000, True, 120, 120),
+    ("H4", path_system([5, 3, 3]), 100_000, True, 14400, 15902),
+]
+
+
+@pytest.mark.parametrize("name,sysm,cap,complete,order,defined", COSET_PINS,
+                         ids=[pin[0] for pin in COSET_PINS])
+def test_todd_coxeter_cosets_defined_pinned(name, sysm, cap, complete, order, defined):
+    table = todd_coxeter_enumerate(sysm, sysm.generators, cap=cap)
+    assert (table.complete, table.order, table.cosets_defined) == (complete, order, defined)
 
 
 BALL_TYPES = [t for t in FINITE_TYPES if t[0] in ("A4", "B4", "D4", "F4", "H3")]
