@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from .geometry import (DISJOINT, OVERLAP, POINT, Point, dist2, frac_point, lerp,
-                       on_segment, orient, segment_common, segment_in_box)
+from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
+                       segment_common, segment_in_box)
 
 MAX_CARPET_LEVEL = 7
 
@@ -601,18 +601,13 @@ def scaffold_to_json(s: K5Scaffold) -> str:
 
 # --- SVG rendering ----------------------------------------------------------------
 
-def carpet_svg(c: CarpetApprox, star: Optional[CarpetStar] = None, size: float = 600.0) -> str:
+def carpet_svg(c: CarpetApprox) -> str:
+    size = 600.0
     body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>']
     for sq in c.removed:
         x, y, s = float(sq.x) * size, float(sq.y) * size, float(sq.side) * size
         body.append(f'<rect x="{x:.3f}" y="{size - y - s:.3f}" width="{s:.3f}" '
                     f'height="{s:.3f}" fill="#ffffff" stroke="#999" stroke-width="0.5"/>')
-    if star is not None:
-        for leg in star.legs:
-            pts = " ".join(f"{float(p[0]) * size:.3f},{size - float(p[1]) * size:.3f}" for p in leg)
-            body.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" stroke-width="2"/>')
-        cx, cy = float(star.center[0]) * size, size - float(star.center[1]) * size
-        body.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="4" fill="#b03030"/>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
             f'viewBox="0 0 {size:.0f} {size:.0f}">\n' + "\n".join(body) + "\n</svg>\n")
 
@@ -620,8 +615,6 @@ def carpet_svg(c: CarpetApprox, star: Optional[CarpetStar] = None, size: float =
 def scaffold_svg(s: K5Scaffold) -> str:
     """Figure-2 style diagram: five carpets in a ring, dotted identification
     edges between paired peripheral circles."""
-    import math
-
     size, cs = 1200.0, 280.0
     centers = []
     for i in range(5):

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: classify, sweep, nerve, davis-ball, tessellate, carpet, k5.
-Exit codes: 0 success / in-scope verdict, 1 input or usage error,
-2 OutOfScope verdict (classify), 3 routing failure (k5).
+Exit codes: 0 success / in-scope verdict, 1 input error or an --out path
+that cannot be written, 2 OutOfScope verdict (classify) or an argument that
+argparse rejects, 3 routing failure (k5).
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:         # PresentationError and out-of-range arguments
+    except (ValueError, OSError) as exc:  # bad input or arguments, unwritable --out
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ frontier never carries partial polygons.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .nerve import NerveComplex, build_nerve
-from .system import INF, CoxeterSystem, geometric_representation, triangle_type
+from .system import (INF, CoxeterSystem, cosine_matrix, geometric_representation,
+                     triangle_type)
 from .words import cayley_ball, word_context
 
 Vertex = tuple[str, ...]     # ShortLex normal form
@@ -29,10 +31,6 @@ class DavisBall:
     edges: tuple[tuple[Vertex, Vertex, str], ...]
     # one face per fully-contained <s,t>-coset: (s, t, boundary cycle of 2m vertices)
     faces: tuple[tuple[str, str, tuple[Vertex, ...]], ...]
-
-    @property
-    def cayley_edges(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,6 @@ def link_matches_nerve(link: LinkGraph, nerve: NerveComplex) -> bool:
 
 
 def ball_to_json(ball: DavisBall) -> str:
-    import json
-
     return json.dumps({
         "radius": ball.radius,
         "vertices": [" ".join(v) for v in ball.vertices],
@@ -138,26 +134,6 @@ def ball_to_json(ball: DavisBall) -> str:
 
 
 # --- triangle-group tessellations ---------------------------------------------
-
-def _fundamental_triangle(sys: CoxeterSystem) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vertices of the fundamental chamber and reflection matrices, mapped to a
-    standard model: unit sphere (spherical), plane z=1 (euclidean, via a null
-    direction), or the Klein disk slice z=1 of the negative cone (hyperbolic)."""
-    from .system import cosine_matrix
-
-    B = cosine_matrix(sys)
-    rhos = geometric_representation(sys)
-    # chamber vertex opposite generator i: direction v with B(v, e_j) = 0, j != i
-    verts = []
-    for i in range(3):
-        rows = [j for j in range(3) if j != i]
-        M = B[rows, :]
-        # 1-dimensional nullspace of the 2x3 system
-        _, _, vh = np.linalg.svd(M)
-        v = vh[-1]
-        verts.append(v)
-    return np.array(verts), rhos
-
 
 def tessellation_svg(sys: CoxeterSystem, depth: int) -> str:
     """Render the reflection tessellation of a triangle group to SVG.
@@ -181,42 +157,33 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
     kind = triangle_type(sys, sys.generators).kind.lower()
     if kind == "euclidean":
         # affine case: the Tits chamber degenerates (vertices hit the form's
-        # kernel), so build the Euclidean triangle directly and unfold it
-        return _euclidean_triangles(sys, depth), kind
-    verts, rhos = _fundamental_triangle(sys)
-    from .system import cosine_matrix
+        # kernel), so build the Euclidean triangle directly and unfold it by
+        # edge reflections.  Angle at the wall-pair vertex {s,t} is pi/m_st.
+        a, b, c = sys.generators
+        alpha = math.pi / float(sys.m(a, b))
+        beta = math.pi / float(sys.m(a, c))
+        # vertices: P_ab at origin, P_ac at (1,0), P_bc above
+        x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
+        tri0 = np.array([[0.0, 0.0], [1.0, 0.0], [x, x * math.tan(alpha)]])
+        return _orbit(tri0, lambda tri: [_reflect_across(tri, tri[i], tri[(i + 1) % 3])
+                                          for i in range(3)], depth), kind
 
+    # Tits chamber: the vertex opposite generator i spans the nullspace of the
+    # 2x3 system B(v, e_j) = 0, j != i, and is normalized against the form:
+    # B(v, v) = 1 (spherical) or B(v, v) = -1 (hyperbolic)
     B = cosine_matrix(sys)
-
-    # normalize chamber vertices against the form
-    v_rows = []
-    for v in verts:
+    rows = []
+    for i in range(3):
+        _, _, vh = np.linalg.svd(B[[j for j in range(3) if j != i], :])
+        v = vh[-1]
         q = float(v @ B @ v)
         if kind == "hyperbolic":
             # chamber vertices of a compact hyperbolic triangle lie in the negative cone
-            v = v / math.sqrt(-q) if q < 0 else v / max(math.sqrt(abs(q)), 1e-12)
-            v_rows.append(v)
-        elif kind == "spherical":
-            v_rows.append(v / math.sqrt(q))
+            rows.append(v / math.sqrt(-q) if q < 0 else v / max(math.sqrt(abs(q)), 1e-12))
         else:
-            v_rows.append(v)
-    verts = np.array(v_rows)
-
-    # orbit of the fundamental triangle under words of length <= depth (BFS)
-    tris = [verts]
-    seen = {_tri_key(verts)}
-    frontier = [verts]
-    for _ in range(depth):
-        nxt = []
-        for tri in frontier:
-            for rho in rhos:
-                img = tri @ rho.T
-                key = _tri_key(img)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(img)
-                    tris.append(img)
-        frontier = nxt
+            rows.append(v / math.sqrt(q))
+    rhos = geometric_representation(sys)
+    tris = _orbit(np.array(rows), lambda tri: [tri @ rho.T for rho in rhos], depth)
 
     if kind == "hyperbolic":
         # Klein-type projective disk: diagonalize B to diag(1,1,-1), then (x,y) = (u1/u3, u2/u3)
@@ -236,29 +203,21 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
     return pts2d, kind
 
 
-def _euclidean_triangles(sys: CoxeterSystem, depth: int) -> list[np.ndarray]:
-    """Unfold the Euclidean fundamental triangle by edge reflections (BFS to
-    gallery distance `depth`).  Angle at the wall-pair vertex {s,t} is pi/m_st."""
-    a, b, c = sys.generators
-    alpha = math.pi / float(sys.m(a, b))
-    beta = math.pi / float(sys.m(a, c))
-    # vertices: P_ab at origin, P_ac at (1,0), P_bc above
-    x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
-    tri0 = np.array([[0.0, 0.0], [1.0, 0.0], [x, x * math.tan(alpha)]])
+def _orbit(tri0: np.ndarray, images, depth: int) -> list[np.ndarray]:
+    """tri0 and its images under up to `depth` reflections, breadth first, each
+    triangle once; images(tri) lists the reflections of tri in order."""
     tris = [tri0]
     seen = {_tri_key(tri0)}
     frontier = [tri0]
     for _ in range(depth):
         nxt = []
         for tri in frontier:
-            for i in range(3):
-                p, q = tri[i], tri[(i + 1) % 3]
-                img = _reflect_across(tri, p, q)
+            for img in images(tri):
                 key = _tri_key(img)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(img)
-                    tris.append(img)
+        tris += nxt
         frontier = nxt
     return tris
 

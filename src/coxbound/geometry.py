@@ -12,10 +12,6 @@ from typing import Optional
 Point = tuple[Fraction, Fraction]
 
 
-def frac_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
     d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -119,10 +115,6 @@ def segment_in_box(a: Point, b: Point, x0: Fraction, y0: Fraction,
     if t0 > t1:
         return None
     return t0, t1
-
-
-def point_sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def lerp(a: Point, b: Point, t: Fraction) -> Point:

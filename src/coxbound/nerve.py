@@ -81,10 +81,6 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     return NerveComplex(gens, tuple(simplices), max_dim, edge_lengths)
 
 
-def nerve_dimension(n: NerveComplex) -> int:
-    return n.dimension
-
-
 def is_complete_1d_nerve(n: NerveComplex) -> tuple[bool, int | None]:
     """(True, vertex count) iff the nerve is the 1-dimensional complete graph."""
     nv = len(n.vertices)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -172,15 +171,6 @@ HYPERBOLIC = "Hyperbolic"
 class TriangleType:
     kind: str
     triple: tuple[float, float, float]
-
-
-def _recip(m: float) -> Fraction:
-    # infinity contributes 0 to the reciprocal sum
-    return Fraction(0) if m == INF else Fraction(1, int(m))
-
-
-def reciprocal_sum(ms: Iterable[float]) -> Fraction:
-    return sum((_recip(m) for m in ms), Fraction(0))
 
 
 def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:

@@ -157,3 +157,16 @@ def test_tessellate_rank_4_is_input_error(k4_file, capsys):
 def test_carpet_level_beyond_guard_is_input_error(capsys):
     assert main(["carpet", "--level", "9"]) == 1
     assert capsys.readouterr().err.startswith("error: level 9 exceeds guard")
+
+
+def test_unwritable_out_is_input_error(k4_file, tmp_path, capsys):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    for argv in (
+            ["classify", "--input", k4_file, "--out", str(tmp_path / "missing" / "x.json")],
+            ["carpet", "--level", "1", "--out", str(tmp_path)],      # a directory
+            ["k5", "--out", str(existing)]):                         # a file, not a directory
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert existing.read_text() == ""

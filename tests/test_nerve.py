@@ -6,8 +6,7 @@ import networkx as nx
 import pytest
 
 from coxbound.nerve import (build_nerve, edge_length_fraction,
-                            is_complete_1d_nerve, is_planar, nerve_dimension,
-                            nerve_to_json)
+                            is_complete_1d_nerve, is_planar, nerve_to_json)
 from coxbound.system import complete_graph_system, make_system
 
 
@@ -118,7 +117,7 @@ def test_infinite_pair_omitted():
     sysm = make_system("abc", {("a", "b"): 3, ("b", "c"): 3})  # a,c infinite
     nerve = build_nerve(sysm)
     assert ("a", "c") not in nerve.edges()
-    assert nerve_dimension(nerve) == 1
+    assert nerve.dimension == 1
 
 
 def test_planarity_of_nerves():

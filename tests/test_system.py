@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from coxbound.system import (INF, CoxeterSystem, PresentationError,
                              complete_graph_system, cosine_matrix, format_system,
                              irreducible_components, is_finite_type, make_system,
-                             parse_system, reciprocal_sum, subgroup_order,
+                             parse_system, subgroup_order,
                              triangle_type)
 from coxbound.words import todd_coxeter_enumerate
 
@@ -56,12 +56,6 @@ def test_parse_comments_and_default_order():
 def test_parse_rejects(bad):
     with pytest.raises(PresentationError):
         parse_system(bad)
-
-
-def test_reciprocal_sum_exact():
-    assert reciprocal_sum((2, 3, 5)) == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5)
-    assert reciprocal_sum((2, 4, INF)) == Fraction(3, 4)
-    assert reciprocal_sum((3, 3, 3)) == 1
 
 
 def test_triangle_type_trichotomy():
