@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve
-from .system import (EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type,
-                     triangle_type)
+from .system import EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type
 
 CIRCLE = "Circle"
 SIERPINSKI_CARPET = "SierpinskiCarpet"
@@ -55,8 +53,7 @@ def serre_fa_criterion(sys: CoxeterSystem) -> bool:
 
 def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
     """All 3-subsets whose reciprocal label sum is exactly 1 (flat sources)."""
-    return [trip for trip in combinations(sys.generators, 3)
-            if triangle_type(sys, trip).kind == EUCLIDEAN]
+    return [trip for trip, tt in sys.triangle_census.items() if tt.kind == EUCLIDEAN]
 
 
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
@@ -78,9 +75,7 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     """Three-way visual-boundary verdict with audit trail."""
     n = sys.rank
     citations: list[str] = []
-    census = tuple(
-        (trip, triangle_type(sys, trip)) for trip in combinations(sys.generators, 3)
-    )
+    census = tuple(sys.triangle_census.items())
     fa = serre_fa_criterion(sys)
     euclidean = [trip for trip, tt in census if tt.kind == EUCLIDEAN]
     has_euc = bool(euclidean)
@@ -146,4 +141,38 @@ def report_to_dict(r: ClassificationReport) -> dict:
 
 
 def report_to_json(r: ClassificationReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2)
+    """The report exactly as `json.dumps(report_to_dict(r), indent=2)` writes
+    it.  Written directly for the fixed schema, because the general encoder's
+    pure-Python indenting path cost more than the classification itself."""
+    sysm = r.system
+    quoted = {g: json.dumps(g) for g in sysm.generators}
+    labels = []
+    for s, t in sysm.pairs():
+        m = sysm.m(s, t)
+        labels.append(_array((quoted[s], quoted[t], '"inf"' if m == INF else str(int(m))), 3))
+    euclidean = [_array([quoted[g] for g in trip], 2)
+                 for trip, tt in r.triangle_census if tt.kind == EUCLIDEAN]
+    return "\n".join((
+        "{",
+        '  "system": {',
+        f'    "generators": {_array(list(quoted.values()), 2)},',
+        f'    "labels": {_array(labels, 2)}',
+        "  },",
+        f'  "n": {r.n},',
+        f'  "boundary": {json.dumps(str(r.boundary))},',
+        f'  "serre_fa": {json.dumps(r.serre_fa)},',
+        f'  "euclidean_triples": {_array(euclidean, 1)},',
+        f'  "hyperbolic": {json.dumps(r.hyperbolic)},',
+        f'  "isolated_flats": {json.dumps(r.isolated_flats)},',
+        f'  "citations": {_array([json.dumps(c) for c in r.citations], 1)}',
+        "}",
+    ))
+
+
+def _array(items, depth: int) -> str:
+    """A JSON array of encoded items, laid out as indent=2 lays out an array
+    nested `depth` levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import networkx as nx
 
-from .system import INF, CoxeterSystem, is_finite_type
+from .system import INF, SPHERICAL, CoxeterSystem, is_finite_type
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
 
     Supersets of infinite-type subsets are pruned level by level (finite type
     is downward closed, so only extensions of stored simplices can be finite).
+    The labels decide the two lowest levels: a pair is an edge iff its label is
+    finite, and a triple whose three edges are present is a 2-simplex iff its
+    labels a, b, c satisfy 1/a + 1/b + 1/c > 1 (read from the system's
+    triangle census).  Only subsets of four or more generators go through
+    diagram matching (`is_finite_type`).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
@@ -68,7 +73,7 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
                 # all facets must already be present
                 if any(cand[:i] + cand[i + 1:] not in prev_set for i in range(size - 1)):
                     continue
-                if is_finite_type(sys, cand).finite:
+                if _finite_type(sys, cand):
                     level.append(cand)
         if not level:
             break
@@ -79,6 +84,20 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
         if m != INF:
             edge_lengths[(s, t)] = edge_length_fraction(int(m))
     return NerveComplex(gens, tuple(simplices), max_dim, edge_lengths)
+
+
+def _finite_type(sys: CoxeterSystem, cand: tuple[str, ...]) -> bool:
+    """Finite type of a candidate simplex whose facets are all simplices.
+
+    An edge needs a finite label.  A triple's three labels are then finite, and
+    it is finite iff its triangle type is spherical.  Larger subsets are
+    matched against the finite diagrams.
+    """
+    if len(cand) == 2:
+        return sys.m(*cand) != INF
+    if len(cand) == 3:
+        return sys.triangle_census[cand].kind == SPHERICAL
+    return is_finite_type(sys, cand).finite
 
 
 def is_complete_1d_nerve(n: NerveComplex) -> tuple[bool, int | None]:

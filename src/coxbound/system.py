@@ -2,9 +2,10 @@
 
 A system is a finite generating set S together with a symmetric order matrix
 m_st taking values in {2, 3, ...} or infinity (m_ss = 1 implicitly).  All
-finiteness decisions are made exactly, by matching irreducible diagram
-components against the classified finite types; no floating point is involved
-anywhere except in `geometric_representation`, which exists for rendering.
+finiteness decisions are made exactly: triangle types by an integer comparison
+of the labels, other subsets by matching irreducible diagram components against
+the classified finite types; no floating point is involved anywhere except in
+`geometric_representation`, which exists for rendering.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -73,6 +75,13 @@ class CoxeterSystem:
             sum(1 << j for j, t in enumerate(self.generators) if t != s and self.m(s, t) >= 3)
             for s in self.generators)
         return position, neighbours
+
+    @cached_property
+    def triangle_census(self) -> dict[tuple[str, str, str], TriangleType]:
+        """The `triangle_type` of every 3-subset of generators, keyed in
+        `combinations(generators, 3)` order.  Built once on first use and
+        shared by every reader; callers must not modify it."""
+        return {trip: triangle_type(self, trip) for trip in combinations(self.generators, 3)}
 
     def pairs(self):
         gens = self.generators

@@ -420,14 +420,14 @@ def todd_coxeter_enumerate(sys: CoxeterSystem, subset: Iterable[str],
 
 
 def spherical_triangle_order(a: int, b: int, c: int) -> Optional[int]:
-    """Order 4/(1/a+1/b+1/c - 1) of a spherical triangle group, else None."""
-    from fractions import Fraction
+    """Order 4/(1/a+1/b+1/c - 1) of a spherical triangle group, else None.
 
-    s = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) - 1
-    if s <= 0:
+    With denominators cleared the order is 4abc / (ab + bc + ca - abc), and the
+    group is spherical iff that denominator is positive."""
+    excess = a * b + b * c + c * a - a * b * c
+    if excess <= 0:
         return None
-    order = 4 / s
-    return int(order)
+    return 4 * a * b * c // excess
 
 
 # --- Cayley balls -------------------------------------------------------------

@@ -4,7 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coxbound.classify
+import coxbound.nerve
+import coxbound.system
 from coxbound.classify import (classify_boundary, euclidean_triple_scan,
                                isolated_flats_check, report_to_dict,
                                report_to_json, serre_fa_criterion)
@@ -108,3 +113,38 @@ def test_report_json_schema():
     assert d["n"] == 5
     assert isinstance(d["citations"], list) and d["citations"]
     assert report_to_dict(report) == report_to_dict(classify_boundary(complete_graph_system(5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_report_json_matches_json_dumps(data):
+    # any generator names: non-ASCII, quotes, backslashes, control characters
+    names = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028'),
+                    min_size=1, max_size=5)
+    gens = data.draw(st.lists(names, min_size=1, max_size=6, unique=True), label="gens")
+    label = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
+    sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
+    report = classify_boundary(sysm)
+    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+
+
+def test_classify_work_counts(monkeypatch):
+    # one triangle type per triple, and diagram matching only for the whole group
+    calls = {"triangle_type": 0, "is_finite_type": 0}
+
+    def counting(name):
+        original = getattr(coxbound.system, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        wrapped = counting(name)
+        for module in (coxbound.system, coxbound.nerve, coxbound.classify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    classify_boundary(complete_graph_system(12))
+    assert calls["triangle_type"] == 220     # C(12, 3)
+    assert calls["is_finite_type"] <= 1

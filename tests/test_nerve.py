@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxbound.nerve import (build_nerve, edge_length_fraction,
                             is_complete_1d_nerve, is_planar, nerve_to_json)
-from coxbound.system import complete_graph_system, make_system
+from coxbound.system import INF, complete_graph_system, is_finite_type, make_system
 
 
 # --- independent planarity oracle: Wagner's theorem by brute-force minors ------
@@ -143,3 +145,32 @@ def test_nerve_json_deterministic():
     j2 = nerve_to_json(sysm, build_nerve(sysm))
     assert j1 == j2
     assert '"dimension": 1' in j1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_nerve_matches_brute_force_finite_subsets(data):
+    # the nerve decides pairs and triples from the labels; the oracle puts
+    # every subset of each size, in combinations order, through diagram matching
+    rank = data.draw(st.integers(2, 7), label="rank")
+    gens = [f"s{i + 1}" for i in range(rank)]
+    label = st.sampled_from([2, 3, 4, 5, 6, 7, INF])
+    sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
+    max_dim = data.draw(st.integers(1, 3), label="max_dim")
+    expected = [subset for size in range(2, max_dim + 2)
+                for subset in combinations(gens, size)
+                if is_finite_type(sysm, subset).finite]
+    assert build_nerve(sysm, max_dim).simplices == tuple(expected)
+
+
+def test_nerve_tetrahedra_match_brute_force():
+    # every rank-4 system with labels 2-5: 135 of them have four spherical
+    # triples but an infinite whole (affine diagrams such as the 4-cycle of 3s),
+    # which random labels above almost never draw
+    gens = "abcd"
+    pairs = list(combinations(gens, 2))
+    for labels in product([2, 3, 4, 5], repeat=len(pairs)):
+        sysm = make_system(gens, dict(zip(pairs, labels)))
+        expected = [subset for size in (2, 3, 4) for subset in combinations(gens, size)
+                    if is_finite_type(sysm, subset).finite]
+        assert build_nerve(sysm, 3).simplices == tuple(expected), labels

@@ -1,14 +1,18 @@
 """Byte pins on the rendered outputs: SHA-256 digests of tessellation, carpet
-and K5-scaffold documents.  The digests were computed from the code before
-the tessellation's two orbit walks became one, so a refactor of the
-rendering paths has to keep every byte."""
+and K5-scaffold documents, and of classify reports and nerve documents.  The
+rendering digests were computed from the code before the tessellation's two
+orbit walks became one; the report and nerve digests from the code before the
+nerve was decided from the labels and the report got its own JSON writer.  A
+refactor of those paths has to keep every byte."""
 
 import hashlib
 
 from coxbound.carpet import (build_carpet_approx, build_k5_scaffold, carpet_svg,
                              scaffold_svg, scaffold_to_json)
+from coxbound.classify import classify_boundary, report_to_json
 from coxbound.davis import tessellation_svg
-from coxbound.system import make_system
+from coxbound.nerve import build_nerve, nerve_to_json
+from coxbound.system import make_system, parse_system
 
 # labels (m_ab, m_bc, m_ac) and depth of each triangle group that the
 # word-problem benchmark workload renders (perfbench/workloads.py)
@@ -69,3 +73,102 @@ def _outputs():
 def test_output_bytes_pinned():
     got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in _outputs()}
     assert got == DIGESTS
+
+
+# presentations, " / " standing for a line break; K3-K7 are in scope with
+# label-2 edges and Euclidean triples, the rest cover the other verdicts
+SYSTEMS = {
+    "K3": "gens a b c / a b 2 / a c 4 / b c 4",
+    "K4": "gens a b c d / a b 6 / a c 3 / a d 4 / b c 2 / b d 6 / c d 3",
+    "K5": "gens a b c d e / a b 3 / a c 6 / a d 3 / a e 2 / b c 4 / b d 3 / b e 6"
+          " / c d 3 / c e 5 / d e 7",
+    "K6": "gens a b c d e f / a b 4 / a c 3 / a d 7 / a e 3 / a f 7 / b c 3 / b d 7"
+          " / b e 4 / b f 6 / c d 5 / c e 3 / c f 2 / d e 7 / d f 4 / e f 7",
+    "K7": "gens a b c d e f g / a b 6 / a c 7 / a d 5 / a e 7 / a f 4 / a g 4 / b c 4"
+          " / b d 6 / b e 4 / b f 2 / b g 3 / c d 6 / c e 4 / c f 4 / c g 5 / d e 4"
+          " / d f 3 / d g 4 / e f 6 / e g 5 / f g 6",
+    "K4 escaped names": "gens a \"q\" b\\s \u03b4\x07 / a \"q\" 3 / a b\\s 3 / a \u03b4\x07 6"
+                        " / \"q\" b\\s 3 / \"q\" \u03b4\x07 2 / b\\s \u03b4\x07 7",
+    "H3": "gens a b c / a b 5 / b c 3 / a c 2",
+    "nerve dimension 2": "gens a b c d / a b 2 / b c 3 / a c 3 / a d 7 / b d 7 / c d 7",
+    "infinite edge": "gens a b c d / a b 3 / a c 4 / b c 5 / a d 3 / b d 3",
+    "B5": "gens a b c d e / a b 3 / b c 3 / c d 3 / d e 4 / a c 2 / a d 2 / a e 2"
+          " / b d 2 / b e 2 / c e 2",
+}
+
+CLASSIFY_DIGESTS = {
+    "report_to_json K3":
+        "362fb6c35377222419bfa3811f6324101422a44784ebf7a9bcfe0a2295415b31",
+    "nerve_to_json K3":
+        "899d1803b9dce6ec63410dad12d19fd03d42b70d952ac0841de8f123aa19c0c5",
+    "nerve_to_json max_dim 3 K3":
+        "89fbe4e5d5224e4aadd864d2ea985ae7a9e5cc57298b7f8e2cb0bbbcb3c1c3c6",
+    "report_to_json K4":
+        "3fc66a7f99b19825de1e21c57ef87e31c663111401170693d233597777a09ecd",
+    "nerve_to_json K4":
+        "2fa5dc3e07d8fae80382e8fa76ccaa326467b13e86ad8e31c7bdf58bbb055ce0",
+    "nerve_to_json max_dim 3 K4":
+        "73fd8d30f622ace132296c06f6f4741fb08f527298f04f9bd628d4ad835f9fd1",
+    "report_to_json K5":
+        "3de7c7313b24a1612a476fba5010f568d47dd6a027e62fd9ffe5c9a7e5918ee8",
+    "nerve_to_json K5":
+        "75c0e86daa0f3c3eecad61aa42e595e4418df68af77712b9eace3f1ab77103e3",
+    "nerve_to_json max_dim 3 K5":
+        "9d1a7dff4ab8c26338f03e9e43925e5c08e0356b66531a0f6bc78bf93c00e287",
+    "report_to_json K6":
+        "e17b22bc7a593f532bf5c8413d86af65e79000f879b4eb29b804d7b13e1b6350",
+    "nerve_to_json K6":
+        "6a74a34834035edf75b2dece09c807e1ce84aab2389b20c729944fda07406ca0",
+    "nerve_to_json max_dim 3 K6":
+        "aea144070223d2d6f63bd1770cac5e4d3596dc78d03ce9a135d0aa40a3f5ca9f",
+    "report_to_json K7":
+        "ab000bb2cc6893aaa4d636372d18f4234f3cf66e4f02085f6e8447da92a3f3be",
+    "nerve_to_json K7":
+        "cc96865497946cfffc3a262f1064286c364b1cf3875a7aa03fd79bc385eb5f4c",
+    "nerve_to_json max_dim 3 K7":
+        "1cad63f140aec9621aa9b111eca78eb7a90718f3e776acf0c38957ad159f240a",
+    "report_to_json K4 escaped names":
+        "51900fea70e1e127a6c1a24d2ef6625f226a0e1d0a59c2b2989e5626e1c056e6",
+    "nerve_to_json K4 escaped names":
+        "e7f9a2414012938a6789e1c248e85f27a26ce89a000789bd54e3002225ef8acc",
+    "nerve_to_json max_dim 3 K4 escaped names":
+        "eda0f6100f8ae770eb7c53ab8369d09e908e79f726ee7cfa6980cb336e5be7b6",
+    "report_to_json H3":
+        "4bb8d00b4689abf534a1aba46c9fc61c7aa6c8a71dbbb96c3e4ee09e5d4f0b55",
+    "nerve_to_json H3":
+        "1c59752b7bebcbf93108db018c740895b34047afb23e2d6011b31435cb02e5f3",
+    "nerve_to_json max_dim 3 H3":
+        "f998ff7fa8e62b085d620fb0f8ed1c41887582707061951a3a64f5e0a1385973",
+    "report_to_json nerve dimension 2":
+        "60a7a29493abdc98309ec39d084fbf6cc769f9ebceec29d48d8743245c68c674",
+    "nerve_to_json nerve dimension 2":
+        "527257273771c7a354055587eb5e09221420ab1d12514b3b6e5f6f4b5ffce53b",
+    "nerve_to_json max_dim 3 nerve dimension 2":
+        "1d455903d74b6236f4d5f5576f1adbf3054def771ed2f999e7f8c771a8c05d39",
+    "report_to_json infinite edge":
+        "be7ac1a1e9245808d0658f6b4988c601da7bf78331fb68e7e4697a417b7b88c9",
+    "nerve_to_json infinite edge":
+        "3a8b3342b0019a7620e0169f8bfe7f11ef3576ae6346ef1887c828fb2363c3dc",
+    "nerve_to_json max_dim 3 infinite edge":
+        "cb9cdd75736facb2ab8c30d29eb0bb9f297eb3e301150f5a75d1f66ca78f5d82",
+    "report_to_json B5":
+        "affdc19d3d3cc6b9ee24aaf72d84aaed241f5c89feb20b0c0d9d6f147aacceee",
+    "nerve_to_json B5":
+        "2268513b05d8e264693ead27144cf676a7c9e6fe1c2a15e63927642b297c4cce",
+    "nerve_to_json max_dim 3 B5":
+        "c07554fc1408adb239a9021fb5da20e209dbd451e00a35bd4704512cc179ae22",
+}
+
+
+def _classify_outputs():
+    for name, text in SYSTEMS.items():
+        sysm = parse_system(text.replace(" / ", "\n"))
+        yield f"report_to_json {name}", report_to_json(classify_boundary(sysm))
+        yield f"nerve_to_json {name}", nerve_to_json(sysm, build_nerve(sysm))
+        yield f"nerve_to_json max_dim 3 {name}", nerve_to_json(sysm, build_nerve(sysm, 3))
+
+
+def test_classify_and_nerve_bytes_pinned():
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in _classify_outputs()}
+    assert got == CLASSIFY_DIGESTS

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -67,6 +69,13 @@ def test_todd_coxeter_spherical(triple, order):
     table = todd_coxeter_enumerate(sysm, "xyz")
     assert table.complete and table.order == order
     assert spherical_triangle_order(*triple) == order
+
+
+def test_spherical_triangle_order_matches_fraction_formula():
+    for a, b, c in product(range(2, 31), repeat=3):
+        excess = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) - 1
+        expected = int(4 / excess) if excess > 0 else None
+        assert spherical_triangle_order(a, b, c) == expected, (a, b, c)
 
 
 def test_todd_coxeter_incomplete_on_affine():
