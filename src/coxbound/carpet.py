@@ -13,14 +13,33 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
                        segment_common, segment_in_box)
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def __getattr__(name: str):
+    # networkx is imported on first use, not with this module, and bound as the
+    # module attribute `nx`.  The router looks `nx` up on the module at call
+    # time (`_networkx`), so a stand-in assigned to `carpet.nx` is honoured.
+    if name == "nx":
+        import networkx
+        globals()["nx"] = networkx
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _networkx():
+    """The module attribute `nx`: networkx, or whatever was assigned there."""
+    return sys.modules[__name__].nx
+
 
 MAX_CARPET_LEVEL = 7
 
@@ -267,7 +286,7 @@ def _cell_kept(i: int, j: int, level: int) -> bool:
 
 def _corridor_graph(level: int) -> nx.Graph:
     n = 3 ** level
-    g = nx.Graph()
+    g = _networkx().Graph()
     for i in range(n):
         for j in range(n):
             if not _cell_kept(i, j, level):
@@ -355,6 +374,7 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         (c for c in graph.nodes if c not in entries),
         key=lambda c: (abs(2 * c[0] + 1 - n) + abs(2 * c[1] + 1 - n), c),
     )
+    nx = _networkx()
     for center_cell in candidates:
         if graph.degree(center_cell) < 4:
             continue

@@ -12,13 +12,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .nerve import NerveComplex, build_nerve
 from .system import (INF, CoxeterSystem, cosine_matrix, geometric_representation,
                      triangle_type)
 from .words import cayley_ball, word_context
+
+# numpy is imported inside the functions that use it, not at module import:
+# only the tessellation uses it, and the classify path never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 Vertex = tuple[str, ...]     # ShortLex normal form
 
@@ -148,6 +152,8 @@ def tessellation_svg(sys: CoxeterSystem, depth: int) -> str:
 
 def tessellation_triangles(sys: CoxeterSystem, depth: int):
     """Planar triangle orbit backing tessellation_svg: (2d triangles, kind)."""
+    import numpy as np
+
     if sys.rank != 3:
         raise ValueError("tessellation requires exactly 3 generators")
     if any(sys.m(s, t) == INF for s, t in sys.pairs()):
@@ -223,6 +229,8 @@ def _orbit(tri0: np.ndarray, images, depth: int) -> list[np.ndarray]:
 
 
 def _reflect_across(pts: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     d = q - p
     d = d / np.linalg.norm(d)
     rel = pts - p

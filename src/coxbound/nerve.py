@@ -11,10 +11,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .system import INF, SPHERICAL, CoxeterSystem, is_finite_type
+
+# networkx is imported inside the functions that use it, not at module import:
+# only `graph` and `is_planar` use it, and the classify path never loads it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,8 @@ class NerveComplex:
         return [s for s in self.simplices if len(s) == 2]
 
     def graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.vertices)
         g.add_edges_from(self.edges())
@@ -114,6 +120,8 @@ def is_planar(n: NerveComplex) -> bool:
     """Planarity of the nerve 1-skeleton; only defined in the 1-dimensional case."""
     if n.dimension > 1:
         raise ValueError("planarity is only defined for nerves of dimension <= 1")
+    import networkx as nx
+
     planar, _ = nx.check_planarity(n.graph())
     return planar
 

@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+# numpy is imported inside the functions that use it, not at module import:
+# only the Tits representation uses it, and the classify path never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 INF = math.inf
 
@@ -382,6 +385,8 @@ def subgroup_order(sys: CoxeterSystem, subset: Iterable[str]) -> Optional[int]:
 
 def cosine_matrix(sys: CoxeterSystem) -> np.ndarray:
     """Bilinear form B with B[s][t] = -cos(pi/m_st), B[s][s] = 1."""
+    import numpy as np
+
     n = sys.rank
     B = np.eye(n)
     for i in range(n):
@@ -399,6 +404,8 @@ def geometric_representation(sys: CoxeterSystem) -> list[np.ndarray]:
     rho(s) x = x - 2 B(e_s, x) e_s; each matrix is an involution preserving
     the cosine form, and rho(s) rho(t) has order m_st when finite.
     """
+    import numpy as np
+
     B = cosine_matrix(sys)
     n = sys.rank
     mats = []

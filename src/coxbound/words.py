@@ -284,9 +284,12 @@ class CosetTable:
 
 
 def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[list[int]]:
-    """Relators s^2 and (st)^m_st in subset-local generator indices."""
+    """Relators (st)^m_st in subset-local generator indices.
+
+    The involution relators s^2 are not listed: the coset kernel keeps its
+    table symmetric, which enforces them."""
     idx = {g: i for i, g in enumerate(subset)}
-    rels = [[i, i] for i in range(len(subset))]
+    rels = []
     for a in range(len(subset)):
         for b in range(a + 1, len(subset)):
             m = sys.m(subset[a], subset[b])
@@ -299,9 +302,11 @@ def _enumerate_cosets(n_gens: int, relators: list[list[int]], cap: int) -> tuple
     """HLT enumeration of the cosets of the trivial subgroup.
 
     Every generator is an involution, so it is its own inverse and the table
-    is symmetric: table[a][x] == b iff table[b][x] == a.  `relators` are words
-    in generator indices, the involution relators s^2 included by the caller.
-    `cap` bounds the total number of cosets ever defined (live + dead).
+    is symmetric: table[a][x] == b iff table[b][x] == a.  That symmetry
+    enforces the involution relators s^2, whose scan at a coset would only
+    define its empty entries, so each coset's row is filled in generator order
+    and then only `relators`, the (st)^m words in generator indices, are
+    scanned.  `cap` bounds the total number of cosets ever defined (live + dead).
     Returns (complete, order, cosets_defined); order is the live-coset count
     when complete, else 0.
     """
@@ -387,6 +392,10 @@ def _enumerate_cosets(n_gens: int, relators: list[list[int]], cap: int) -> tuple
         if p[alpha] != alpha:
             alpha += 1
             continue
+        for x in range(n_gens):
+            if table[alpha][x] == -1:
+                if define(alpha, x) == -1:
+                    return False, 0, len(table)
         for w in relators:
             if not scan_and_fill(alpha, w):
                 return False, 0, len(table)
