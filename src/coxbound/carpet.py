@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
@@ -78,26 +79,31 @@ class Square:
 
 @dataclass(frozen=True)
 class CarpetApprox:
+    """The level-`level` middle-ninth carpet; its squares are built on first
+    read, and the integer cells and `_cell_kept` answer everything else."""
     level: int
-    kept: tuple[Square, ...]       # 8^level squares of side 3^-level
-    removed: tuple[Square, ...]    # cumulative, all scales
+
+    @cached_property
+    def kept(self) -> tuple[Square, ...]:   # 8^level squares of side 3^-level
+        return _carpet_squares(self.level, removed=False)
+
+    @cached_property
+    def removed(self) -> tuple[Square, ...]:   # cumulative, all scales
+        return _carpet_squares(self.level, removed=True)
 
 OUTER = Square(F0, F0, F1)
 
 
-def build_carpet_approx(level: int) -> CarpetApprox:
-    """Middle-ninth carpet: at each step every kept square loses its center.
+def _carpet_squares(level: int, removed: bool) -> tuple[Square, ...]:
+    """The kept or the removed squares of the level-`level` carpet: at each
+    step every kept square loses its center.
 
     The subdivision runs on integer cells (x, y, side) in units of 3^-level;
     each cell becomes a Square through one shared table of the coordinates
     k / 3^level."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if level > MAX_CARPET_LEVEL:
-        raise ValueError(f"level {level} exceeds guard {MAX_CARPET_LEVEL}")
     n = 3 ** level
     kept = [(0, 0, n)]
-    removed: list[tuple[int, int, int]] = []
+    holes: list[tuple[int, int, int]] = []
     for _ in range(level):
         nxt = []
         for x, y, side in kept:
@@ -106,24 +112,32 @@ def build_carpet_approx(level: int) -> CarpetApprox:
                 for j in range(3):
                     sub = (x + i * s, y + j * s, s)
                     if i == 1 and j == 1:
-                        removed.append(sub)
+                        holes.append(sub)
                     else:
                         nxt.append(sub)
         kept = nxt
     coord = [Fraction(k, n) for k in range(n + 1)]
-    return CarpetApprox(
-        level,
-        tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in kept),
-        tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in removed))
+    return tuple(Square(coord[x], coord[y], coord[s])
+                 for x, y, s in (holes if removed else kept))
+
+
+def build_carpet_approx(level: int) -> CarpetApprox:
+    """Middle-ninth carpet of the given level, 0 to MAX_CARPET_LEVEL."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    if level > MAX_CARPET_LEVEL:
+        raise ValueError(f"level {level} exceeds guard {MAX_CARPET_LEVEL}")
+    return CarpetApprox(level)
 
 
 def null_family_check(c: CarpetApprox, epsilon: Fraction) -> int:
-    """Number of removed squares with diameter strictly greater than epsilon."""
+    """Number of removed squares with diameter strictly greater than epsilon,
+    counted per scale: step k removes 8^(k-1) squares of diameter^2 2/9^k."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     eps2 = epsilon * epsilon
-    return sum(1 for sq in c.removed if sq.diameter_squared() > eps2)
+    return sum(8 ** (k - 1) for k in range(1, c.level + 1) if Fraction(2, 9 ** k) > eps2)
 
 
 # --- the erratum's explicit star family in the 3-holed disk --------------------
@@ -304,38 +318,21 @@ def _cell_center(cell: tuple[int, int], level: int) -> Point:
     return (Fraction(2 * cell[0] + 1, 2 * n), Fraction(2 * cell[1] + 1, 2 * n))
 
 
-def _entry_cell(mark: MarkedPoint, level: int) -> tuple[int, int]:
-    """Kept cell whose closure contains the marked point, on the kept side of
-    the peripheral boundary.  The point must lie in the interior of one cell
-    edge (cell-corner points are ambiguous and rejected)."""
+def _entry_cell(p: Point, level: int) -> tuple[int, int]:
+    """The kept cell whose closure contains p, a point in the interior of a
+    cell edge on a peripheral boundary: of the two cells beside that edge, the
+    other lies inside the removed square or outside the unit square.
+    Cell-corner points are ambiguous and rejected."""
     n = 3 ** level
-    p = mark.point
-    sq = mark.square
-    if sq == OUTER:
-        inward = ("right" if p[0] == 0 else "left" if p[0] == 1 else
-                  "up" if p[1] == 0 else "down" if p[1] == 1 else None)
-        if inward is None:
-            raise ValueError(f"point {p} is not on the outer boundary")
-    else:
-        inward = ("left" if p[0] == sq.x else "right" if p[0] == sq.x + sq.side else
-                  "down" if p[1] == sq.y else "up" if p[1] == sq.y + sq.side else None)
-        if inward is None:
-            raise ValueError(f"point {p} is not on the boundary of {sq}")
     xs, ys = p[0] * n, p[1] * n
-    if inward == "left":
-        i, j = int(xs) - 1, int(ys)
-    elif inward == "right":
-        i, j = int(xs), int(ys)
-    elif inward == "down":
-        i, j = int(xs), int(ys) - 1
-    else:
-        i, j = int(xs), int(ys)
-    coord = ys if inward in ("left", "right") else xs
-    if coord.denominator == 1:
+    if xs.denominator == 1 and ys.denominator == 1:
         raise ValueError(f"marked point {p} sits on a cell corner; move it")
-    if not (0 <= i < n and 0 <= j < n) or not _cell_kept(i, j, level):
-        raise ValueError(f"marked point {p} has no kept cell on its inward side")
-    return (i, j)
+    i, j = int(xs), int(ys)
+    beside = ((i - 1, j), (i, j)) if xs.denominator == 1 else ((i, j - 1), (i, j))
+    for i, j in beside:
+        if 0 <= i < n and 0 <= j < n and _cell_kept(i, j, level):
+            return (i, j)
+    raise ValueError(f"marked point {p} has no kept cell beside it")
 
 
 def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> CarpetStar:
@@ -359,27 +356,26 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         if not m.square.on_boundary(m.point):
             raise ValueError(f"{m.point} not on the boundary of its square")
     level = carpet.level
-    graph = _corridor_graph(level)
-    entries = [_entry_cell(m, level) for m in marks]
+    entries = [_entry_cell(m.point, level) for m in marks]
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
     n = 3 ** level
-    sink = "sink"
-    g = graph.copy()
-    for cell in entries:
-        g.add_edge(cell, sink)
+    graph = _corridor_graph(level)
     # candidate centers: kept cells by distance from the grid center
     candidates = sorted(
         (c for c in graph.nodes if c not in entries),
         key=lambda c: (abs(2 * c[0] + 1 - n) + abs(2 * c[1] + 1 - n), c),
     )
+    sink = "sink"
+    for cell in entries:
+        graph.add_edge(cell, sink)
     nx = _networkx()
     for center_cell in candidates:
         if graph.degree(center_cell) < 4:
             continue
         try:
-            paths = list(nx.node_disjoint_paths(g, center_cell, sink))
+            paths = list(nx.node_disjoint_paths(graph, center_cell, sink))
         except nx.NetworkXNoPath:
             continue
         if len(paths) < 4:
@@ -552,7 +548,8 @@ def _cell_edge_midpoint(sq: Square, direction: str, level: int) -> Point:
 
 def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
     """Five carpets, ten identified peripheral-circle pairs, five embedded
-    4-pointed stars: the combinatorial K5 certificate."""
+    4-pointed stars: the combinatorial K5 certificate.  This routes only;
+    verify_k5_graph is the check of the stars and the graph."""
     import random
 
     rng = random.Random(seed) if seed is not None else None
@@ -565,13 +562,9 @@ def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
         for j, mp in zip(others, assigned):
             marks[(i, j)] = mp
         try:
-            star = embed_star_in_carpet(carpets[i], assigned)
+            stars.append(embed_star_in_carpet(carpets[i], assigned))
         except RoutingError as exc:
             raise RoutingError(str(exc), carpet_index=i) from exc
-        if not verify_star_in_carpet(carpets[i], star):
-            raise RoutingError(f"star verification failed in carpet {i}",
-                               carpet_index=i)
-        stars.append(star)
     return K5Scaffold(level, carpets, tuple(stars), marks)
 
 

@@ -113,8 +113,8 @@ def cmd_carpet(args) -> int:
     else:
         payload = {
             "level": approx.level,
-            "kept": len(approx.kept),
-            "removed": len(approx.removed),
+            "kept": 8 ** approx.level,
+            "removed": (8 ** approx.level - 1) // 7,
             "null_family_exceeding_1_5": null_family_check(approx, Fraction(1, 5)),
         }
         _emit(json.dumps(payload, indent=2), args.out)

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coxbound.carpet import (HOLED_DISK, OUTER, CarpetStar, RoutingError,
-                             Square, StarEmbedding, build_carpet_approx,
+                             Square, StarEmbedding, _cell_kept, _entry_cell,
+                             build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
                              scaffold_to_json, select_t_avoiding,
@@ -74,6 +75,16 @@ def test_null_family_check():
     assert null_family_check(c, F(1, 100)) > 1
     with pytest.raises(ValueError):
         null_family_check(c, F(0))
+    # the per-scale count against a scan of the removed squares, with epsilon
+    # just below and just above each scale's diameter sqrt(2)/3^k
+    # (1.4142^2 < 2 < 1.4143^2), and beyond the scales at both ends
+    epsilons = [F(r, 10000) / 3 ** k for k in range(1, 8) for r in (14142, 14143)]
+    epsilons += [F(1, 10 ** 6), F(2)]
+    for level in range(7):
+        c = build_carpet_approx(level)
+        for eps in epsilons:
+            brute = sum(1 for sq in c.removed if sq.diameter_squared() > eps * eps)
+            assert null_family_check(c, eps) == brute, (level, eps)
 
 
 def test_null_family_stabilizes():
@@ -87,6 +98,36 @@ def test_square_helpers():
     assert not sq.contains_open((F(1, 3), F(1, 2)))
     assert sq.on_boundary((F(1, 3), F(1, 2)))
     assert sq.diameter_squared() == F(2, 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entry_cell_on_peripheral_boundary(data):
+    level = data.draw(st.integers(2, 4), label="level")
+    n = 3 ** level
+    removed = build_carpet_approx(level).removed
+    sq = data.draw(st.sampled_from(removed + (OUTER,)), label="square")
+    cells = int(sq.side * n)            # cell edges along one side of sq
+    side = data.draw(st.sampled_from(["left", "right", "bottom", "top"]), label="side")
+    k = data.draw(st.integers(0, cells - 1), label="cell edge")
+    fixed = sq.x if side == "left" else sq.x + sq.side if side == "right" else \
+        sq.y if side == "bottom" else sq.y + sq.side
+
+    def on_side(offset):
+        along = (sq.y if side in ("left", "right") else sq.x) + F(offset) / n
+        return (fixed, along) if side in ("left", "right") else (along, fixed)
+
+    p = on_side(F(2 * k + 1, 2))        # a cell-edge midpoint
+    assert sq.on_boundary(p)
+    i, j = _entry_cell(p, level)
+    assert 0 <= i < n and 0 <= j < n and _cell_kept(i, j, level)
+    assert F(i, n) <= p[0] <= F(i + 1, n) and F(j, n) <= p[1] <= F(j + 1, n)
+    if sq != OUTER:
+        assert not (sq.x <= F(i, n) and F(i + 1, n) <= sq.x + sq.side
+                    and sq.y <= F(j, n) and F(j + 1, n) <= sq.y + sq.side)
+    corner = on_side(data.draw(st.integers(0, cells), label="cell corner"))
+    with pytest.raises(ValueError):
+        _entry_cell(corner, level)
 
 
 # --- erratum star family ----------------------------------------------------------

@@ -107,6 +107,12 @@ def test_carpet_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kept"] == 512
     assert payload["removed"] == 73
+    for level in (0, 7):
+        assert main(["carpet", "--level", str(level), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kept"] == 8 ** level
+        assert payload["removed"] == (8 ** level - 1) // 7
+        assert payload["null_family_exceeding_1_5"] == (0 if level == 0 else 1)
     assert main(["carpet", "--level", "2", "--format", "svg"]) == 0
     assert "<svg" in capsys.readouterr().out
 

@@ -1,9 +1,10 @@
 """Byte pins on the rendered outputs: SHA-256 digests of tessellation, carpet
 and K5-scaffold documents, and of classify reports and nerve documents.  The
 rendering digests were computed from the code before the tessellation's two
-orbit walks became one; the report and nerve digests from the code before the
-nerve was decided from the labels and the report got its own JSON writer.  A
-refactor of those paths has to keep every byte."""
+orbit walks became one, and the level-3 and seeded scaffold digests from the
+code before the carpet kept only its level; the report and nerve digests from
+the code before the nerve was decided from the labels and the report got its
+own JSON writer.  A refactor of those paths has to keep every byte."""
 
 import hashlib
 
@@ -54,6 +55,10 @@ DIGESTS = {
         "15f4b8d33531ac3fa0faed8897c80e92f74e94cb1f18f1a58f2b6febcbeb0d55",
     "scaffold_svg level 2":
         "e6f57542a40e85dbbbba2dbad58405729338ce00839280a3b55fa3138689472c",
+    "scaffold_to_json level 3":
+        "af31d6e15094613059ce071bd4acf8cbf659573a2752ca6327592dc41b5fd2e0",
+    "scaffold_to_json level 2 seed 1":
+        "14f4d8e4ef65b52604f16b961663b427744a19f98e25bfb603d6fc6ebb8e736b",
 }
 
 
@@ -68,6 +73,8 @@ def _outputs():
     scaffold = build_k5_scaffold(2)
     yield "scaffold_to_json level 2", scaffold_to_json(scaffold)
     yield "scaffold_svg level 2", scaffold_svg(scaffold)
+    yield "scaffold_to_json level 3", scaffold_to_json(build_k5_scaffold(3))
+    yield "scaffold_to_json level 2 seed 1", scaffold_to_json(build_k5_scaffold(2, seed=1))
 
 
 def test_output_bytes_pinned():
