@@ -5,42 +5,25 @@ All geometry is exact rational.  The carpet is the standard middle-ninth
 model in the unit square; the removed open squares are the peripheral
 Jordan-region approximants (the outer boundary counts as one more peripheral
 circle).  The star-embedding router works on the corridor graph of kept
-cells; a verifier that shares no code with the router re-checks every output
-with exact segment predicates.
+cells, held as integer node ids and adjacency lists; its flow routine,
+`node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp to
+those arrays and returns exactly the paths networkx returns (networkx stays
+its oracle in the tests).  A verifier that shares no code with the router
+re-checks every output with exact segment predicates.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
                        segment_common, segment_in_box)
-
-if TYPE_CHECKING:
-    import networkx as nx
-
-
-def __getattr__(name: str):
-    # networkx is imported on first use, not with this module, and bound as the
-    # module attribute `nx`.  The router looks `nx` up on the module at call
-    # time (`_networkx`), so a stand-in assigned to `carpet.nx` is honoured.
-    if name == "nx":
-        import networkx
-        globals()["nx"] = networkx
-        return networkx
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _networkx():
-    """The module attribute `nx`: networkx, or whatever was assigned there."""
-    return sys.modules[__name__].nx
-
 
 MAX_CARPET_LEVEL = 7
 
@@ -90,6 +73,34 @@ class CarpetApprox:
     @cached_property
     def removed(self) -> tuple[Square, ...]:   # cumulative, all scales
         return _carpet_squares(self.level, removed=True)
+
+    @cached_property
+    def corridors(self) -> tuple[list[tuple[int, int]], list[int], Network, list[int]]:
+        """The corridor graph of kept cells as integer arrays, built once per
+        carpet: the kept cells (i, j) in row-major order, whose position is
+        their node id; the node id of cell (i, j) at i * 3^level + j, or -1
+        for a removed cell; the `residual_network` of the graph whose node
+        has the neighbours (i-1, j), (i, j-1), (i, j+1), (i+1, j) that are
+        kept, in that order; and the node ids by distance from the grid
+        center, ties in id order (the router's candidate centers)."""
+        level, n = self.level, 3 ** self.level
+        cells: list[tuple[int, int]] = []
+        index = [-1] * (n * n)
+        for i in range(n):
+            for j in range(n):
+                if _cell_kept(i, j, level):
+                    index[i * n + j] = len(cells)
+                    cells.append((i, j))
+        adjacency = []
+        for i, j in cells:
+            r = i * n + j
+            adjacency.append([k for k in (index[r - n] if i > 0 else -1,
+                                          index[r - 1] if j > 0 else -1,
+                                          index[r + 1] if j < n - 1 else -1,
+                                          index[r + n] if i < n - 1 else -1) if k >= 0])
+        by_center = sorted(range(len(cells)), key=lambda k: (
+            abs(2 * cells[k][0] + 1 - n) + abs(2 * cells[k][1] + 1 - n), k))
+        return cells, index, residual_network(adjacency), by_center
 
 OUTER = Square(F0, F0, F1)
 
@@ -298,19 +309,164 @@ def _cell_kept(i: int, j: int, level: int) -> bool:
     return True
 
 
-def _corridor_graph(level: int) -> nx.Graph:
-    n = 3 ** level
-    g = _networkx().Graph()
-    for i in range(n):
-        for j in range(n):
-            if not _cell_kept(i, j, level):
-                continue
-            g.add_node((i, j))
-            if i > 0 and _cell_kept(i - 1, j, level):
-                g.add_edge((i - 1, j), (i, j))
-            if j > 0 and _cell_kept(i, j - 1, level):
-                g.add_edge((i, j - 1), (i, j))
-    return g
+Network = list[list[tuple[int, int]]]
+
+
+def residual_network(adj: Sequence[Sequence[int]]) -> Network:
+    """networkx's residual network for node-disjoint paths in the simple
+    undirected graph whose node k has the neighbours adj[k], in insertion
+    order (the Graph with nodes 0, 1, ... and that adjacency).
+
+    `build_auxiliary_node_connectivity` splits node k into A = 2k -> B = 2k+1
+    and turns each edge of G.edges() into the arcs B -> A both ways;
+    `build_residual_network` then pairs each of those arcs, in H.edges()
+    order, with a reverse arc.  Entry u lists (v, arc u -> v) in R.succ[u]
+    order; arc 2p is the p-th auxiliary arc (capacity 1) and 2p + 1 its
+    reverse (capacity 0).  R.pred[u] has the same node order, with arc ^ 1."""
+    size = 2 * len(adj)
+    arcs_from: list[list[int]] = [[] for _ in range(size)]   # H.succ of the B nodes
+    for k, nbrs in enumerate(adj):
+        for y in nbrs:
+            if y > k:                   # G.edges() reports {k, y} once, from k
+                arcs_from[2 * k + 1].append(2 * y)
+                arcs_from[2 * y + 1].append(2 * k)
+    network: Network = [[] for _ in range(size)]
+    arc = 0
+    for u in range(size):
+        for v in (u + 1,) if u % 2 == 0 else arcs_from[u]:
+            network[u].append((v, arc))
+            network[v].append((u, arc + 1))
+            arc += 2
+    return network
+
+
+def _join_sink(network: Network, entries: Sequence[int]) -> Network:
+    """`residual_network` of the graph with one more node, the sink, joined to
+    the nodes `entries`, from the network of the graph without it: every arc
+    the sink brings comes last in its lists, in the order the construction
+    would insert it.  `network` itself is not changed."""
+    t = len(network) // 2
+    arc = sum(map(len, network))
+    joined = network + [[], []]
+    entries = sorted(entries)
+    for e in entries:
+        joined[2 * e + 1] = joined[2 * e + 1] + [(2 * t, arc)]
+        joined[2 * t].append((2 * e + 1, arc + 1))
+        arc += 2
+    joined[2 * t].append((2 * t + 1, arc))
+    joined[2 * t + 1].append((2 * t, arc + 1))
+    arc += 2
+    for e in entries:
+        joined[2 * t + 1].append((2 * e, arc))
+        joined[2 * e] = joined[2 * e] + [(2 * t + 1, arc + 1)]
+        arc += 2
+    return joined
+
+
+def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
+    """Node-disjoint s-t paths over a `residual_network`: the paths, in their
+    order, that networkx's `node_disjoint_paths(G, s, t)` yields for its
+    graph, or [] where it raises NetworkXNoPath.
+
+    A port of networkx's flow to integer arrays, step for step:
+    `edmonds_karp` augments along bidirectional BFS paths, expanding the
+    smaller frontier (ties to the source side), up to min(deg s, deg t)
+    paths; and `edge_disjoint_paths` walks the saturated arcs from s, taking
+    each node's last one first and dropping dead ends."""
+    # H.out_degree(B_s) and H.in_degree(A_t): each list holds one arc of the split
+    cutoff = min(len(network[2 * s + 1]), len(network[2 * t])) - 1
+    if not cutoff:
+        return []
+    res = [1, 0] * (sum(map(len, network)) // 2)      # capacity - flow, per arc
+    source, target = 2 * s + 1, 2 * t
+
+    def bidirectional_bfs():
+        pred = {source: None}
+        succ = {target: None}
+        q_s, q_t = [source], [target]
+        while True:
+            q = []
+            if len(q_s) <= len(q_t):
+                for u in q_s:
+                    for v, e in network[u]:
+                        if res[e] and v not in pred:
+                            pred[v] = u
+                            if v in succ:
+                                return v, pred, succ
+                            q.append(v)
+                if not q:
+                    return None
+                q_s = q
+            else:
+                for u in q_t:
+                    for v, e in network[u]:
+                        if res[e ^ 1] and v not in succ:
+                            succ[v] = u
+                            if v in pred:
+                                return v, pred, succ
+                            q.append(v)
+                if not q:
+                    return None
+                q_t = q
+
+    flow = 0
+    while flow < cutoff:
+        found = bidirectional_bfs()
+        if found is None:
+            break
+        v, pred, succ = found
+        path = [v]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        while path[-1] != target:
+            path.append(succ[path[-1]])
+        for u, w in zip(path, path[1:]):
+            for x, e in network[u]:
+                if x == w:
+                    res[e] -= 1
+                    res[e ^ 1] += 1
+                    break
+        flow += 1
+    if not flow:
+        return []
+
+    saturated: dict[int, list[int]] = {}
+
+    def saturated_from(u: int) -> list[int]:
+        if u not in saturated:
+            saturated[u] = [v for v, e in network[u] if not e & 1 and not res[e]]
+        return saturated[u]
+
+    paths = []
+    found_paths = 0
+    for v in list(saturated_from(source)):
+        if found_paths >= cutoff:
+            break
+        path = [source]
+        if v == target:
+            path.append(v)
+            paths.append(path)
+            continue
+        u = v
+        while u != target:
+            path.append(u)
+            nxt = saturated_from(u)
+            if not nxt:
+                break
+            u = nxt.pop()
+        else:
+            path.append(target)
+            paths.append(path)
+            found_paths += 1
+    return [list(dict.fromkeys(x >> 1 for x in path)) for path in paths]
+
+
+# The router calls its flow routine as `nx.node_disjoint_paths`, looked up on
+# this module at call time: the name stays only so that a benchmark tracer can
+# put a counting stand-in at `carpet.nx` until the library records its own
+# router calls.
+nx = SimpleNamespace(node_disjoint_paths=node_disjoint_paths)
 
 
 def _cell_center(cell: tuple[int, int], level: int) -> Point:
@@ -361,35 +517,27 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         raise RoutingError("two marked points enter through the same cell")
 
     n = 3 ** level
-    graph = _corridor_graph(level)
-    # candidate centers: kept cells by distance from the grid center
-    candidates = sorted(
-        (c for c in graph.nodes if c not in entries),
-        key=lambda c: (abs(2 * c[0] + 1 - n) + abs(2 * c[1] + 1 - n), c),
-    )
-    sink = "sink"
-    for cell in entries:
-        graph.add_edge(cell, sink)
-    nx = _networkx()
-    for center_cell in candidates:
-        if graph.degree(center_cell) < 4:
+    cells, index, network, by_center = carpet.corridors
+    entry_ids = [index[i * n + j] for i, j in entries]
+    # the corridor graph: the kept cells, then a sink joined to every entry cell
+    sink = len(cells)
+    graph = _join_sink(network, entry_ids)
+    for center in by_center:
+        # the center's degree: its B node's arcs but the one back to its A node
+        if center in entry_ids or len(graph[2 * center + 1]) - 1 < 4:
             continue
-        try:
-            paths = list(nx.node_disjoint_paths(graph, center_cell, sink))
-        except nx.NetworkXNoPath:
-            continue
+        paths = nx.node_disjoint_paths(graph, center, sink)
         if len(paths) < 4:
             continue
         # each path ends [..., entry cell, sink]; match paths to marks by entry cell
         by_entry = {p[-2]: p for p in paths[:4]}
-        if set(by_entry) != set(entries):
+        if set(by_entry) != set(entry_ids):
             continue
         legs = []
-        for mark, cell in zip(marks, entries):
-            cells = by_entry[cell][:-1]                        # center ... entry
-            leg = tuple(_cell_center(c, level) for c in cells) + (mark.point,)
-            legs.append(leg)
-        return CarpetStar(_cell_center(center_cell, level), tuple(legs), marks)
+        for mark, k in zip(marks, entry_ids):
+            leg = tuple(_cell_center(cells[c], level) for c in by_entry[k][:-1])  # center ... entry
+            legs.append(leg + (mark.point,))
+        return CarpetStar(_cell_center(cells[center], level), tuple(legs), marks)
     raise RoutingError(f"no 4 disjoint corridors found at level {level}")
 
 
@@ -521,10 +669,11 @@ def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint
     midpoints."""
     if carpet.level < 2:
         raise RoutingError("scaffold needs carpets of level >= 2")
-    big = [sq for sq in carpet.removed if sq.side == Fraction(1, 3)][0]
-    small = sorted((sq for sq in carpet.removed if sq.side == Fraction(1, 9)),
-                   key=lambda s: (s.x, s.y))
-    squares = [big, small[0], small[-1], small[3]]
+    # the level-1 center square, then of the eight level-2 squares in (x, y)
+    # order the first, the last and the fourth; no scan of carpet.removed
+    third, ninth = Fraction(1, 3), Fraction(1, 9)
+    squares = [Square(third, third, third), Square(ninth, ninth, ninth),
+               Square(7 * ninth, 7 * ninth, ninth), Square(4 * ninth, ninth, ninth)]
     directions = ["left", "bottom", "top", "right"]
     if rng is not None:
         directions = [rng.choice(["left", "right", "top", "bottom"]) for _ in range(4)]

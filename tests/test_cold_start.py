@@ -1,9 +1,10 @@
-"""numpy and networkx load only with the commands that use them.
+"""numpy loads only with the command that uses it, and networkx with none.
 
 Each command runs through `cli.main` in a fresh interpreter that imports the
 package from `src`, and then reports which of the two modules it loaded:
-`tessellate` is the one command that needs numpy and `k5` (the carpet
-router) the one that needs networkx.
+`tessellate` is the one command that needs numpy.  The carpet router of `k5`
+runs on integer arrays, so no command loads networkx; only
+`NerveComplex.graph` and `is_planar` import it.
 """
 
 import json
@@ -12,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx
 import pytest
 
 from coxbound import carpet
@@ -58,7 +58,7 @@ COMMANDS = {
     "carpet": (["carpet", "--level", "2", "--format", "svg", "--out", "{out}"], False, False),
     "tessellate": (["tessellate", "--input", "{k3}", "--depth", "3", "--out", "{out}"],
                    True, False),
-    "k5": (["k5", "--level", "2", "--out", "{out}"], None, True),
+    "k5": (["k5", "--level", "2", "--out", "{out}"], False, False),
 }
 
 
@@ -76,34 +76,28 @@ def test_command_loads_only_what_it_uses(name, tmp_path):
     if argv is not None:
         assert (tmp_path / "out").exists()
     assert seen["networkx"] is networkx_loaded
-    if numpy_loaded is not None:        # networkx itself may pull numpy in
-        assert seen["numpy"] is numpy_loaded
+    assert seen["numpy"] is numpy_loaded
 
 
 def test_carpet_nx_attribute_reaches_the_router():
-    """`carpet.nx` reads as networkx, and the router calls networkx through
-    it, so a stand-in assigned there sees every `node_disjoint_paths` call."""
-    assert carpet.nx is networkx
+    """The router looks its flow routine up as `carpet.nx.node_disjoint_paths`
+    at call time, so a stand-in assigned to `carpet.nx` sees every call."""
     with pytest.raises(AttributeError):
         carpet.no_such_attribute
 
     calls = []
+    original = carpet.nx
 
-    class CountingNetworkx:
-        def __getattr__(self, name):
-            return getattr(networkx, name)
-
+    class CountingRouter:
         def node_disjoint_paths(self, *args, **kwargs):
             calls.append(args[1])
-            return networkx.node_disjoint_paths(*args, **kwargs)
+            return original.node_disjoint_paths(*args, **kwargs)
 
     expected = scaffold_to_json(build_k5_scaffold(2))
-    original = carpet.nx
-    carpet.nx = CountingNetworkx()
+    carpet.nx = CountingRouter()
     try:
         routed = scaffold_to_json(build_k5_scaffold(2))
     finally:
         carpet.nx = original
-    assert carpet.nx is networkx
     assert len(calls) >= 5                # at least one candidate center per carpet
     assert routed == expected
