@@ -1,15 +1,20 @@
 """Sierpinski-carpet approximations, star embeddings, and the five-carpet
 K5 scaffold.
 
-All geometry is exact rational.  The carpet is the standard middle-ninth
-model in the unit square; the removed open squares are the peripheral
-Jordan-region approximants (the outer boundary counts as one more peripheral
-circle).  The star-embedding router works on the corridor graph of kept
-cells, held as integer node ids and adjacency lists; its flow routine,
-`node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp to
-those arrays and returns exactly the paths networkx returns (networkx stays
-its oracle in the tests).  A verifier that shares no code with the router
-re-checks every output with exact segment predicates.
+All geometry is exact.  The carpet is the standard middle-ninth model in the
+unit square; the removed open squares are the peripheral Jordan-region
+approximants (the outer boundary counts as one more peripheral circle).  A
+level-L carpet is held as its level and read on the 3^L x 3^L cell grid: the
+removed squares are integer cells (x, y, side) in units of 3^-L, and the
+`Fraction` squares are built only when `kept` or `removed` is read.  The
+star-embedding router works on the corridor graph of kept cells, held as
+integer node ids and adjacency lists; its flow routine, `node_disjoint_paths`,
+is a port of networkx's node-split Edmonds-Karp to those arrays and returns
+exactly the paths networkx returns (networkx stays its oracle in the tests).
+A verifier that shares no code with the router re-checks every output with
+the exact segment predicates, on the star's points scaled to integers and
+the removed squares it looks up from the cell grid.  The drawings read the
+integer cells too.
 """
 
 from __future__ import annotations
@@ -68,11 +73,28 @@ class CarpetApprox:
 
     @cached_property
     def kept(self) -> tuple[Square, ...]:   # 8^level squares of side 3^-level
-        return _carpet_squares(self.level, removed=False)
+        return _squares(_carpet_cells(self.level, removed=False), self.level)
 
     @cached_property
     def removed(self) -> tuple[Square, ...]:   # cumulative, all scales
-        return _carpet_squares(self.level, removed=True)
+        return _squares(self.holes, self.level)
+
+    @cached_property
+    def holes(self) -> tuple[tuple[int, int, int], ...]:
+        """The removed squares as integer cells (x, y, side) in units of
+        3^-level, in the order of `removed`."""
+        return tuple(_carpet_cells(self.level, removed=True))
+
+    @cached_property
+    def hole_at(self) -> list[int]:
+        """For each cell (i, j) of the 3^level grid, at i * 3^level + j, the
+        index in `holes` of the removed square that covers it, or -1."""
+        n = 3 ** self.level
+        table = [-1] * (n * n)
+        for k, (x, y, side) in enumerate(self.holes):
+            for i in range(x, x + side):
+                table[i * n + y:i * n + y + side] = [k] * side
+        return table
 
     @cached_property
     def corridors(self) -> tuple[list[tuple[int, int]], list[int], Network, list[int]]:
@@ -105,31 +127,33 @@ class CarpetApprox:
 OUTER = Square(F0, F0, F1)
 
 
-def _carpet_squares(level: int, removed: bool) -> tuple[Square, ...]:
-    """The kept or the removed squares of the level-`level` carpet: at each
-    step every kept square loses its center.
-
-    The subdivision runs on integer cells (x, y, side) in units of 3^-level;
-    each cell becomes a Square through one shared table of the coordinates
-    k / 3^level."""
-    n = 3 ** level
-    kept = [(0, 0, n)]
+def _carpet_cells(level: int, removed: bool) -> list[tuple[int, int, int]]:
+    """The kept or the removed squares of the level-`level` carpet as integer
+    cells (x, y, side) in units of 3^-level: at each step every kept cell
+    loses its center and leaves its other eight ninths, x offset outer and
+    y offset inner."""
+    side = 3 ** level
+    kept = [(0, 0)]
     holes: list[tuple[int, int, int]] = []
     for _ in range(level):
-        nxt = []
-        for x, y, side in kept:
-            s = side // 3
-            for i in range(3):
-                for j in range(3):
-                    sub = (x + i * s, y + j * s, s)
-                    if i == 1 and j == 1:
-                        holes.append(sub)
-                    else:
-                        nxt.append(sub)
-        kept = nxt
+        s = side // 3
+        holes += [(x + s, y + s, s) for x, y in kept]
+        if removed and s == 1:
+            break
+        t = 2 * s
+        kept = [cell for x, y in kept for cell in (
+            (x, y), (x, y + s), (x, y + t), (x + s, y), (x + s, y + t),
+            (x + t, y), (x + t, y + s), (x + t, y + t))]
+        side = s
+    return holes if removed else [(x, y, side) for x, y in kept]
+
+
+def _squares(cells, level: int) -> tuple[Square, ...]:
+    """The integer cells as Squares, through one shared table of the
+    coordinates k / 3^level."""
+    n = 3 ** level
     coord = [Fraction(k, n) for k in range(n + 1)]
-    return tuple(Square(coord[x], coord[y], coord[s])
-                 for x, y, s in (holes if removed else kept))
+    return tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in cells)
 
 
 def build_carpet_approx(level: int) -> CarpetApprox:
@@ -307,6 +331,25 @@ def _cell_kept(i: int, j: int, level: int) -> bool:
         i //= 3
         j //= 3
     return True
+
+
+def _is_peripheral(sq: Square, level: int) -> bool:
+    """True iff `sq` is OUTER or a removed square of the level-`level` carpet:
+    a square of side 3^-k, 1 <= k <= level, with corner 3^-k (3i + 1, 3j + 1)
+    for a kept cell (i, j) of the level-(k - 1) grid."""
+    if sq == OUTER:
+        return True
+    x, y, side = (Fraction(v) for v in (sq.x, sq.y, sq.side))
+    n = side.denominator
+    k = next((k for k in range(1, level + 1) if 3 ** k == n), 0)
+    if side.numerator != 1 or not k:
+        return False
+    i, j = x * n, y * n
+    if i.denominator != 1 or j.denominator != 1:
+        return False
+    i, j = i.numerator, j.numerator
+    return (0 <= i < n and 0 <= j < n and i % 3 == 1 and j % 3 == 1
+            and _cell_kept(i // 3, j // 3, k - 1))
 
 
 Network = list[list[tuple[int, int]]]
@@ -505,9 +548,8 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         raise ValueError("marked points must lie on 4 distinct peripheral boundaries")
     if len({m.point for m in marks}) != 4:
         raise ValueError("marked points must be distinct")
-    removed_set = set(carpet.removed) | {OUTER}
     for m in marks:
-        if m.square not in removed_set:
+        if not _is_peripheral(m.square, carpet.level):
             raise ValueError(f"{m.square} is not a peripheral square of this carpet")
         if not m.square.on_boundary(m.point):
             raise ValueError(f"{m.point} not on the boundary of its square")
@@ -548,52 +590,58 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     disjointness away from the center, removed-square avoidance, and that
     peripheral boundaries are touched only at the marked points.
 
-    An exact integer bounding-box test (coordinates scaled by the lcm of all
-    denominators) runs in front of every segment_common and segment_in_box
-    call; closed sets whose closed boxes are disjoint are disjoint, so only
-    pairs that can meet reach the exact predicates and no verdict changes.
+    Every leg point and mark is scaled to integers once, by the lcm of
+    3^level and their denominators, so that the corners of the removed
+    squares are integers too and every predicate runs on integers.  An exact
+    bounding-box test runs in front of every segment_common call, and a
+    segment meets segment_in_box only for the removed squares that cover a
+    grid cell its closed box touches (`hole_at`): closed sets whose closed
+    boxes are disjoint are disjoint, and a closed removed square is the union
+    of the closed cells it covers, so no verdict changes.
     """
     if len(star.legs) != 4:
         return False
     for leg, mark in zip(star.legs, star.marks):
         if leg[0] != star.center or leg[-1] != mark.point:
             return False
-    scale = math.lcm(*(c.denominator for leg in star.legs for p in leg for c in p),
-                     *(c.denominator for sq in carpet.removed
-                       for c in (sq.x, sq.y, sq.side)))
-    leg_boxes = [[_scaled_box(p, q, scale) for p, q in zip(leg[:-1], leg[1:])]
-                 for leg in star.legs]
-    removed_boxes = [_scaled_box((sq.x, sq.y), (sq.x + sq.side, sq.y + sq.side), scale)
-                     for sq in carpet.removed]
+    n = 3 ** carpet.level
+    mark_squares = [(m.square.x, m.square.y, m.square.side) for m in star.marks]
+    scale = math.lcm(n, *(c.denominator for leg in star.legs for p in leg for c in p),
+                     *(c.denominator for sq in mark_squares for c in sq))
+    unit = scale // n                   # the side of one grid cell
+
+    def scaled(c) -> int:
+        return c.numerator * (scale // c.denominator)
+
+    legs = [[(scaled(x), scaled(y)) for x, y in leg] for leg in star.legs]
+    leg_boxes = [[_box(p, q) for p, q in zip(leg[:-1], leg[1:])] for leg in legs]
     # pairwise disjointness except at the shared center
     for a in range(4):
         for b in range(a + 1, 4):
-            if not _polylines_meet_only_at(star.legs[a], star.legs[b], star.center,
+            if not _polylines_meet_only_at(legs[a], legs[b], legs[a][0],
                                            leg_boxes[a], leg_boxes[b]):
                 return False
     # peripheral avoidance
-    for leg, mark, boxes in zip(star.legs, star.marks, leg_boxes):
-        segs = list(zip(leg[:-1], leg[1:], boxes))
-        for sq, box in zip(carpet.removed, removed_boxes):
-            for p, q, seg_box in segs:
-                if not _boxes_meet(seg_box, box):
-                    continue
-                hit = segment_in_box(p, q, sq.x, sq.y, sq.x + sq.side, sq.y + sq.side)
+    holes, hole_at = carpet.holes, carpet.hole_at
+    for leg, boxes, sq in zip(legs, leg_boxes, mark_squares):
+        own, point = tuple(map(scaled, sq)), leg[-1]
+        for p, q, box in zip(leg[:-1], leg[1:], boxes):
+            for k in _holes_meeting(box, unit, n, hole_at):
+                x, y, side = (v * unit for v in holes[k])
+                hit = segment_in_box(p, q, x, y, x + side, y + side)
                 if hit is None:
                     continue
                 t0, t1 = hit
                 if t0 != t1:
                     return False
-                touch = lerp(p, q, t0)
-                if not (sq == mark.square and touch == mark.point):
+                if not ((x, y, side) == own and lerp(p, q, t0) == point):
                     return False
-        # outer boundary: stay inside, touch only at an outer marked point
-        for p, q, _ in segs:
+            # outer boundary: stay inside, touch only at an outer marked point
             for pt in (p, q):
-                if not (F0 <= pt[0] <= F1 and F0 <= pt[1] <= F1):
+                if not (0 <= pt[0] <= scale and 0 <= pt[1] <= scale):
                     return False
-            for pt in _outer_touches(p, q):
-                if not (mark.square == OUTER and pt == mark.point):
+                if (pt[0] in (0, scale) or pt[1] in (0, scale)) and not (
+                        own == (0, 0, scale) and pt == point):
                     return False
     return True
 
@@ -601,39 +649,32 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
 Box = tuple[int, int, int, int]   # closed integer box (x0, y0, x1, y1)
 
 
-def _scaled_box(p: Point, q: Point, scale: int) -> Box:
-    """Closed bounding box (x0, y0, x1, y1) of segment pq, times `scale`, which
-    every coordinate's denominator divides."""
-    x0, x1 = sorted((p[0].numerator * (scale // p[0].denominator),
-                     q[0].numerator * (scale // q[0].denominator)))
-    y0, y1 = sorted((p[1].numerator * (scale // p[1].denominator),
-                     q[1].numerator * (scale // q[1].denominator)))
+def _box(p: tuple[int, int], q: tuple[int, int]) -> Box:
+    """Closed bounding box (x0, y0, x1, y1) of segment pq."""
+    x0, x1 = sorted((p[0], q[0]))
+    y0, y1 = sorted((p[1], q[1]))
     return x0, y0, x1, y1
 
 
-def _boxes_meet(a: Box, b: Box) -> bool:
-    """True iff the closed boxes share a point (touching counts)."""
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
-
-
-def _outer_touches(p: Point, q: Point) -> list[Point]:
-    """Points where segment pq (inside the unit square) meets the outer boundary."""
-    touches = []
-    for pt in (p, q):
-        if pt[0] in (F0, F1) or pt[1] in (F0, F1):
-            touches.append(pt)
-    # a segment with both endpoints strictly inside cannot touch the boundary
-    return touches
+def _holes_meeting(box: Box, unit: int, n: int, hole_at: Sequence[int]) -> set[int]:
+    """Indices of the removed squares that cover a cell of the n x n grid
+    (cells of side `unit`) whose closed box meets the closed `box`."""
+    x0, y0, x1, y1 = box
+    i0, i1 = max(0, -(-x0 // unit) - 1), min(n - 1, x1 // unit)
+    j0, j1 = max(0, -(-y0 // unit) - 1), min(n - 1, y1 // unit)
+    found = {hole_at[i * n + j] for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
+    found.discard(-1)
+    return found
 
 
 def _polylines_meet_only_at(a: Sequence[Point], b: Sequence[Point], allowed: Point,
                             boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> bool:
     """True iff polylines a and b meet nowhere but at `allowed`; boxes_a and
-    boxes_b are the scaled closed boxes of their segments, in order."""
-    for i in range(len(a) - 1):
-        for j in range(len(b) - 1):
-            if not _boxes_meet(boxes_a[i], boxes_b[j]):
-                continue
+    boxes_b are the closed boxes of their segments, in order."""
+    for i, (ax0, ay0, ax1, ay1) in enumerate(boxes_a):
+        for j, (bx0, by0, bx1, by1) in enumerate(boxes_b):
+            if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+                continue            # closed boxes apart: the segments are too
             kind, p = segment_common(a[i], a[i + 1], b[j], b[j + 1])
             if kind == DISJOINT:
                 continue
@@ -663,22 +704,25 @@ class K5Scaffold:
         return adj
 
 
+# the level-1 center square, then of the eight level-2 squares in (x, y) order
+# the first, the last and the fourth: the squares every scaffold marks
+_MARK_SQUARES = (Square(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+                 Square(Fraction(1, 9), Fraction(1, 9), Fraction(1, 9)),
+                 Square(Fraction(7, 9), Fraction(7, 9), Fraction(1, 9)),
+                 Square(Fraction(4, 9), Fraction(1, 9), Fraction(1, 9)))
+
+
 def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint]:
     """Four peripheral squares for the star's four legs: the level-1 center
     square plus three level-2 squares, marked at deterministic (or seeded) edge
     midpoints."""
     if carpet.level < 2:
         raise RoutingError("scaffold needs carpets of level >= 2")
-    # the level-1 center square, then of the eight level-2 squares in (x, y)
-    # order the first, the last and the fourth; no scan of carpet.removed
-    third, ninth = Fraction(1, 3), Fraction(1, 9)
-    squares = [Square(third, third, third), Square(ninth, ninth, ninth),
-               Square(7 * ninth, 7 * ninth, ninth), Square(4 * ninth, ninth, ninth)]
     directions = ["left", "bottom", "top", "right"]
     if rng is not None:
         directions = [rng.choice(["left", "right", "top", "bottom"]) for _ in range(4)]
     marks = []
-    for sq, d in zip(squares, directions):
+    for sq, d in zip(_MARK_SQUARES, directions):
         marks.append(MarkedPoint(sq, _cell_edge_midpoint(sq, d, carpet.level)))
     return marks
 
@@ -765,9 +809,11 @@ def scaffold_to_json(s: K5Scaffold) -> str:
 
 def carpet_svg(c: CarpetApprox) -> str:
     size = 600.0
+    n = 3 ** c.level
     body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>']
-    for sq in c.removed:
-        x, y, s = float(sq.x) * size, float(sq.y) * size, float(sq.side) * size
+    for x, y, s in c.holes:
+        # x / n rounds correctly, so it is float(Fraction(x, n))
+        x, y, s = x / n * size, y / n * size, s / n * size
         body.append(f'<rect x="{x:.3f}" y="{size - y - s:.3f}" width="{s:.3f}" '
                     f'height="{s:.3f}" fill="#ffffff" stroke="#999" stroke-width="0.5"/>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
@@ -793,12 +839,13 @@ def scaffold_svg(s: K5Scaffold) -> str:
         ox, oy = centers[i]
         body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
                     'fill="#e8e0d0" stroke="#555"/>')
-        for sq in c.removed:
-            x, y, side = float(sq.x) * cs, float(sq.y) * cs, float(sq.side) * cs
+        n = 3 ** c.level
+        for x, y, side in c.holes:
+            x, y, side = x / n * cs, y / n * cs, side / n * cs
             body.append(f'<rect x="{ox + x:.2f}" y="{oy + cs - y - side:.2f}" width="{side:.2f}" '
                         f'height="{side:.2f}" fill="#ffffff" stroke="#aaa" stroke-width="0.4"/>')
         for leg in star.legs:
-            pts = " ".join(f"{to_abs(i, p)[0]:.2f},{to_abs(i, p)[1]:.2f}" for p in leg)
+            pts = " ".join("{:.2f},{:.2f}".format(*to_abs(i, p)) for p in leg)
             body.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" stroke-width="1.5"/>')
         cx, cy = to_abs(i, star.center)
         body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#b03030"/>')

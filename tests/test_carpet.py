@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coxbound.carpet import (HOLED_DISK, OUTER, CarpetStar, RoutingError,
-                             Square, StarEmbedding, _cell_kept, _entry_cell,
-                             build_carpet_approx,
+from coxbound.carpet import (HOLED_DISK, OUTER, CarpetStar, MarkedPoint,
+                             RoutingError, Square, StarEmbedding, _cell_kept,
+                             _default_mark_assignment, _entry_cell,
+                             _is_peripheral, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
                              scaffold_to_json, select_t_avoiding,
@@ -65,6 +66,63 @@ def test_carpet_self_similarity():
         for ix, iy in level1_cells:
             expected.add((ox + ix / 3, oy + iy / 3))
     assert {(sq.x, sq.y) for sq in c2.kept} == expected
+
+
+def test_hole_table_matches_removed_squares():
+    """`holes` lists the removed squares as integer cells, and `hole_at`
+    marks exactly the cells that are not kept, each with the removed square
+    whose interior holds the cell's center."""
+    for level in range(5):
+        c = build_carpet_approx(level)
+        n = 3 ** level
+        assert [Square(F(x, n), F(y, n), F(s, n)) for x, y, s in c.holes] == list(c.removed)
+        for i in range(n):
+            for j in range(n):
+                k = c.hole_at[i * n + j]
+                assert (k == -1) == _cell_kept(i, j, level)
+                if k != -1:
+                    assert c.removed[k].contains_open((F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)))
+
+
+@lru_cache(maxsize=None)
+def _peripheral_squares(level):
+    return set(build_carpet_approx(level).removed) | {OUTER}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_peripheral_rule_matches_removed_squares(data):
+    """The cell-grid rule that embed_star_in_carpet checks marks with agrees
+    with membership in the removed squares plus OUTER: on removed squares,
+    kept and off-grid cells of every scale, and squares of the wrong side."""
+    level = data.draw(st.integers(0, 5), label="level")
+    how = data.draw(st.sampled_from(["removed", "cell", "any"]), label="how")
+    if how == "removed" and level:
+        sq = data.draw(st.sampled_from(build_carpet_approx(level).removed), label="square")
+    elif how == "cell":
+        k = data.draw(st.integers(0, level + 1), label="scale")
+        n = 3 ** k
+        i, j = (data.draw(st.integers(-2, n + 1)) for _ in range(2))
+        sq = Square(F(i, n), F(j, n), F(1, n))
+    else:
+        den = st.sampled_from([1, 2, 3, 9, 27, 81, 243, 729])
+        x, y = (F(data.draw(st.integers(-3, 800)), data.draw(den)) for _ in range(2))
+        side = data.draw(st.one_of(st.builds(F, st.integers(1, 3), den),
+                                   st.sampled_from([0, 1, 2, F(1, 2)])), label="side")
+        sq = Square(x, y, side)
+    assert _is_peripheral(sq, level) == (sq in _peripheral_squares(level))
+
+
+def test_embed_rejects_marks_off_peripheral_squares():
+    c = build_carpet_approx(2)
+    marks = _default_mark_assignment(c, None)
+    kept = Square(F(0), F(0), F(1, 9))
+    bad = [MarkedPoint(kept, (F(1, 18), F(1, 9)))] + marks[1:]
+    with pytest.raises(ValueError, match="is not a peripheral square of this carpet"):
+        embed_star_in_carpet(c, bad)
+    off = [MarkedPoint(marks[0].square, (F(1, 2), F(1, 2)))] + marks[1:]
+    with pytest.raises(ValueError, match="not on the boundary of its square"):
+        embed_star_in_carpet(c, off)
 
 
 def test_null_family_check():
@@ -382,3 +440,25 @@ def test_verifier_rejects_other_boundary_point_of_marked_square(data):
     _check_rejected(carpet, _with_leg(star, k, leg[:-1] + (q,)))
     # ... or reaches the mark only after touching the square at q
     _check_rejected(carpet, _with_leg(star, k, leg[:-1] + (q, mark.point)))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_verifier_agrees_with_oracle_on_moved_vertices(data):
+    """Any rational vertex, on the cell grid or off it, inside the unit
+    square or outside it, and near where it was or anywhere, gets the
+    oracle's verdict."""
+    pairs = _routed_stars()
+    carpet, star = pairs[data.draw(st.integers(0, len(pairs) - 1), label="star")]
+    k = data.draw(st.integers(0, 3), label="leg")
+    leg = star.legs[k]
+    v = data.draw(st.integers(1, len(leg) - 2), label="vertex")
+    den = data.draw(st.sampled_from([2 * 3 ** carpet.level, 4 * 3 ** carpet.level, 1, 2, 7]),
+                    label="denominator")
+    if data.draw(st.booleans(), label="anywhere"):
+        x, y = (F(data.draw(st.integers(-den // 8 - 1, den + den // 8 + 1)), den)
+                for _ in range(2))
+    else:
+        x, y = (c + F(data.draw(st.integers(-3, 3)), den) for c in leg[v])
+    moved = _with_leg(star, k, leg[:v] + ((x, y),) + leg[v + 1:])
+    assert verify_star_in_carpet(carpet, moved) == _oracle_verify(carpet, moved)

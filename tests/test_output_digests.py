@@ -4,7 +4,9 @@ rendering digests were computed from the code before the tessellation's two
 orbit walks became one, and the level-3 and seeded scaffold digests from the
 code before the carpet kept only its level; the report and nerve digests from
 the code before the nerve was decided from the labels and the report got its
-own JSON writer.  A refactor of those paths has to keep every byte."""
+own JSON writer; the level-4 and level-5 carpet and level-3 scaffold drawings
+from the code that still drew them from `Fraction` squares.  A refactor of
+those paths has to keep every byte."""
 
 import hashlib
 
@@ -51,12 +53,18 @@ DIGESTS = {
         "520e390e6090faf7e5607717a0cceea0a5ac36320b90508a0a08ba0cdc1137f5",
     "carpet_svg level 3":
         "bfe0fcbcf73d2844ef66daf58b046e94253634327855eb918bae511bc236e95b",
+    "carpet_svg level 4":
+        "bfedacbf6839d2838de0979bc522e38277e438ceeed1ca13372b325008a1422b",
+    "carpet_svg level 5":
+        "d029fb4461ddad7f45c1955745011de6bfe3da1f7399ad42f3db9e217b1c8adf",
     "scaffold_to_json level 2":
         "15f4b8d33531ac3fa0faed8897c80e92f74e94cb1f18f1a58f2b6febcbeb0d55",
     "scaffold_svg level 2":
         "e6f57542a40e85dbbbba2dbad58405729338ce00839280a3b55fa3138689472c",
     "scaffold_to_json level 3":
         "af31d6e15094613059ce071bd4acf8cbf659573a2752ca6327592dc41b5fd2e0",
+    "scaffold_svg level 3":
+        "d2af9b9d05f54992d7cff3fc3098dcd18b8a96c385e72fd1ca3393ac42edca54",
     "scaffold_to_json level 2 seed 1":
         "14f4d8e4ef65b52604f16b961663b427744a19f98e25bfb603d6fc6ebb8e736b",
 }
@@ -69,11 +77,14 @@ def _outputs():
             sysm = make_system(gens, {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac})
             yield f"tessellation_svg {gens} {(ab, bc, ac)} depth {depth}", \
                 tessellation_svg(sysm, depth)
-    yield "carpet_svg level 3", carpet_svg(build_carpet_approx(3))
+    for level in (3, 4, 5):
+        yield f"carpet_svg level {level}", carpet_svg(build_carpet_approx(level))
     scaffold = build_k5_scaffold(2)
     yield "scaffold_to_json level 2", scaffold_to_json(scaffold)
     yield "scaffold_svg level 2", scaffold_svg(scaffold)
-    yield "scaffold_to_json level 3", scaffold_to_json(build_k5_scaffold(3))
+    level_3 = build_k5_scaffold(3)
+    yield "scaffold_to_json level 3", scaffold_to_json(level_3)
+    yield "scaffold_svg level 3", scaffold_svg(level_3)
     yield "scaffold_to_json level 2 seed 1", scaffold_to_json(build_k5_scaffold(2, seed=1))
 
 
