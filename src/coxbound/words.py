@@ -13,7 +13,7 @@ length.  Every comparison that builds the table is decided exactly, in the
 cyclotomic integers Z[zeta_N].
 
 The Todd-Coxeter oracle is a pure-Python HLT enumeration over involutory
-generators, with a symmetric coset table.
+generators, with a symmetric coset table stored by columns.
 """
 
 from __future__ import annotations
@@ -283,40 +283,67 @@ class CosetTable:
     cap: int
 
 
-def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[list[int]]:
-    """Relators (st)^m_st in subset-local generator indices.
+def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[tuple[int, int, int]]:
+    """Relators (st)^m_st of the subset's generators, as triples (s, t, m) of
+    subset-local indices with s < t, in pair order; infinite labels give none.
 
     The involution relators s^2 are not listed: the coset kernel keeps its
     table symmetric, which enforces them."""
-    idx = {g: i for i, g in enumerate(subset)}
     rels = []
-    for a in range(len(subset)):
-        for b in range(a + 1, len(subset)):
-            m = sys.m(subset[a], subset[b])
+    for s in range(len(subset)):
+        for t in range(s + 1, len(subset)):
+            m = sys.m(subset[s], subset[t])
             if m != INF:
-                rels.append([idx[subset[a]], idx[subset[b]]] * int(m))
+                rels.append((s, t, int(m)))
     return rels
 
 
-def _enumerate_cosets(n_gens: int, relators: list[list[int]], cap: int) -> tuple[bool, int, int]:
+def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
+                      cap: int) -> tuple[bool, int, int]:
     """HLT enumeration of the cosets of the trivial subgroup.
 
+    The table is stored by columns: cols[x][c] is the coset c * x, or -1.
     Every generator is an involution, so it is its own inverse and the table
-    is symmetric: table[a][x] == b iff table[b][x] == a.  That symmetry
-    enforces the involution relators s^2, whose scan at a coset would only
-    define its empty entries, so each coset's row is filled in generator order
-    and then only `relators`, the (st)^m words in generator indices, are
-    scanned.  `cap` bounds the total number of cosets ever defined (live + dead).
-    Returns (complete, order, cosets_defined); order is the live-coset count
-    when complete, else 0.
+    is symmetric: cols[x][a] == b iff cols[x][b] == a.  That symmetry enforces
+    the involution relators s^2, whose scan at a coset would only define its
+    empty entries, so each coset's row is filled in generator order and then
+    only `relators`, the triples (s, t, m) for (st)^m, are scanned; a scan
+    reads the columns of s and t alternately.
+
+    A scan of (st)^m that completes closes the <s, t> cycle through its start,
+    and every coset the scan walked through lies on that cycle.  The cycle
+    stays closed at the representative of each of its cosets through every
+    later coincidence, and a scan of (st)^m at a coset of a closed cycle is a
+    no-op.  So the walk marks each coset it reaches in the relator's
+    bytearray, and marked (coset, relator) pairs are not scanned again; a
+    scan that hits the cap returns at once, so its marks are never read.
+    Skipping only no-ops keeps the definition order, and so `cosets_defined`,
+    exact.  `cap` bounds the total number of cosets ever defined (live +
+    dead).  Returns (complete, order, cosets_defined); order is the live-coset
+    count when complete, else 0.
     """
-    table = [[-1] * n_gens]      # row per coset
-    p = [0]                      # union-find parent, p[i] <= i
+    size = min(cap, 64)               # allocated length of every array below
+    cols = [[-1] * size for _ in range(n_gens)]
+    p = list(range(size))             # union-find parent, p[i] <= i
+    scans = [(cols[s], cols[t], 2 * m, bytearray(size)) for s, t, m in relators]
+    n = 1                             # cosets defined
+
+    def grow() -> int:
+        new = min(cap, 2 * size)
+        for col in cols:
+            col.extend([-1] * (new - size))
+        p.extend(range(size, new))
+        for _, _, _, mark in scans:
+            mark.extend(bytes(new - size))
+        return new
 
     def rep(k: int) -> int:
-        while p[k] != k:
-            k = p[k]
-        return k
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:              # path compression
+            p[k], k = r, p[k]
+        return r
 
     def merge(a: int, b: int, queue: list[int]) -> None:
         a, b = rep(a), rep(b)
@@ -329,87 +356,91 @@ def _enumerate_cosets(n_gens: int, relators: list[list[int]], cap: int) -> tuple
     def coincidence(a: int, b: int) -> None:
         queue: list[int] = []
         merge(a, b, queue)
-        i = 0
-        while i < len(queue):
-            g = queue[i]
-            i += 1
-            row = table[g]
-            for x in range(n_gens):
-                d = row[x]
+        for g in queue:               # the queue grows while it is walked
+            for col in cols:
+                d = col[g]
                 if d == -1:
                     continue
-                table[d][x] = -1
-                row[x] = -1
+                col[d] = -1
+                col[g] = -1
                 mu, nu = rep(g), rep(d)
-                if table[mu][x] != -1:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x] != -1:
-                    merge(mu, table[nu][x], queue)
+                if col[mu] != -1:
+                    merge(nu, col[mu], queue)
+                elif col[nu] != -1:
+                    merge(mu, col[nu], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x] = mu
-
-    def define(a: int, x: int) -> int:
-        if len(table) >= cap:
-            return -1
-        n = len(table)
-        table.append([-1] * n_gens)
-        p.append(n)
-        table[a][x] = n
-        table[n][x] = a
-        return n
-
-    def scan_and_fill(a: int, w: list[int]) -> bool:
-        """Scan relator w at coset a, defining cosets to fill gaps.
-
-        Returns False when the coset cap is hit.
-        """
-        f, i = a, 0
-        b, j = a, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] != -1:
-                f = table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return True
-            while j >= i and table[b][w[j]] != -1:
-                b = table[b][w[j]]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return True
-            if j == i:
-                table[f][w[i]] = b
-                table[b][w[i]] = f
-                return True
-            if define(f, w[i]) == -1:
-                return False
+                    col[mu] = nu
+                    col[nu] = mu
 
     alpha = 0
-    while alpha < len(table):
+    while alpha < n:
         if p[alpha] != alpha:
             alpha += 1
             continue
-        for x in range(n_gens):
-            if table[alpha][x] == -1:
-                if define(alpha, x) == -1:
-                    return False, 0, len(table)
-        for w in relators:
-            if not scan_and_fill(alpha, w):
-                return False, 0, len(table)
+        for col in cols:
+            if col[alpha] == -1:
+                if n >= cap:
+                    return False, 0, n
+                if n == size:
+                    size = grow()
+                col[alpha] = n
+                col[n] = alpha
+                n += 1
+        for cs, ct, last, mark in scans:
+            if mark[alpha]:
+                continue
+            # forward from f at position i, backward from b at position j;
+            # even positions read s and odd positions read t
+            f, i, b, j = alpha, 0, alpha, last - 1
+            while True:
+                while i <= j:
+                    d = ct[f] if i & 1 else cs[f]
+                    if d == -1:
+                        break
+                    f = d
+                    mark[d] = 1
+                    i += 1
+                else:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i:
+                    d = ct[b] if j & 1 else cs[b]
+                    if d == -1:
+                        break
+                    b = d
+                    mark[d] = 1
+                    j -= 1
+                else:
+                    coincidence(f, b)
+                    break
+                col = ct if i & 1 else cs
+                if j == i:
+                    col[f] = b
+                    col[b] = f
+                    break
+                if n >= cap:
+                    return False, 0, n
+                if n == size:
+                    size = grow()
+                col[f] = n
+                col[n] = f
+                n += 1
             if p[alpha] != alpha:
                 break
         if p[alpha] == alpha:
-            for x in range(n_gens):
-                if table[alpha][x] == -1:
-                    if define(alpha, x) == -1:
-                        return False, 0, len(table)
+            for col in cols:
+                if col[alpha] == -1:
+                    if n >= cap:
+                        return False, 0, n
+                    if n == size:
+                        size = grow()
+                    col[alpha] = n
+                    col[n] = alpha
+                    n += 1
         alpha += 1
 
-    order = sum(1 for k in range(len(p)) if p[k] == k)
-    return True, order, len(table)
+    return True, sum(1 for k in range(n) if p[k] == k), n
 
 
 def todd_coxeter_enumerate(sys: CoxeterSystem, subset: Iterable[str],

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coxbound.system import INF, complete_graph_system, make_system, subgroup_order
 from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, cayley_ball,
-                            spherical_triangle_order, tits_normal_form,
+                            coxeter_relators, spherical_triangle_order, tits_normal_form,
                             todd_coxeter_enumerate, word_context, words_equal)
 
 
@@ -251,10 +251,18 @@ def test_small_roots_of_finite_types_are_all_positive_roots(name, sysm, reflecti
     assert word_context(sysm).small_root_count == reflections
 
 
+def reordered(sysm, generators):
+    """`sysm` with its generators listed in the order `generators`."""
+    return make_system(generators, {(s, t): sysm.m(s, t)
+                                    for s, t in combinations(sysm.generators, 2)})
+
+
 # (name, system, cap, complete, order, cosets_defined).  cosets_defined pins
-# the kernel's definition order (relator order, s^2 scans, row fill), which
-# the benchmark's word-problem digest hashes.  The first four are the
-# word-problem workload's BENCH_COSET_CASES, with their caps.
+# the kernel's definition order (each coset's row filled in generator order,
+# then the (st)^m relators scanned in pair order), which the benchmark's
+# word-problem digest hashes.  The first four are the word-problem workload's
+# BENCH_COSET_CASES, with their caps.  Generator order drives HLT, so H4 is
+# pinned in both orders.
 COSET_PINS = [
     ("(2,3,5)", complete_graph_system(3, labels={("s1", "s2"): 2, ("s1", "s3"): 3,
                                                  ("s2", "s3"): 5}), 100_000, True, 120, 120),
@@ -263,11 +271,15 @@ COSET_PINS = [
     ("K3 all-3", complete_graph_system(3), 100_000, False, None, 100_000),
     ("K4 all-3", complete_graph_system(4), 100_000, False, None, 100_000),
     ("A5", path_system([3] * 4), 100_000, True, 720, 785),
+    ("A6", path_system([3] * 5), 100_000, True, 5040, 6061),
+    ("A7", path_system([3] * 6), 100_000, True, 40320, 52771),
     ("B5", path_system([4, 3, 3, 3]), 100_000, True, 3840, 4519),
     ("D5", path_system([3, 3, 3], branch=(3, 3)), 100_000, True, 1920, 1967),
     ("F4", path_system([3, 4, 3]), 100_000, True, 1152, 1198),
     ("H3", path_system([5, 3]), 100_000, True, 120, 120),
     ("H4", path_system([5, 3, 3]), 100_000, True, 14400, 15902),
+    ("H4 reversed", reordered(path_system([5, 3, 3]), ["s4", "s3", "s2", "s1"]), 100_000,
+     True, 14400, 15757),
 ]
 
 
@@ -276,6 +288,143 @@ COSET_PINS = [
 def test_todd_coxeter_cosets_defined_pinned(name, sysm, cap, complete, order, defined):
     table = todd_coxeter_enumerate(sysm, sysm.generators, cap=cap)
     assert (table.complete, table.order, table.cosets_defined) == (complete, order, defined)
+
+
+# --- the coset kernel against its row-table oracle ---------------------------------
+#
+# The body below is the kernel as it ran before it stored its table by columns
+# and skipped the scans of closed (st)^m cycles: one row list per coset, each
+# relator a word in generator indices, every relator scanned at every live
+# coset.  It defines the same cosets in the same order.
+
+def _row_table_enumerate_cosets(n_gens, relators, cap):
+    table = [[-1] * n_gens]
+    p = [0]
+
+    def rep(k):
+        while p[k] != k:
+            k = p[k]
+        return k
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            p[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        i = 0
+        while i < len(queue):
+            g = queue[i]
+            i += 1
+            row = table[g]
+            for x in range(n_gens):
+                d = row[x]
+                if d == -1:
+                    continue
+                table[d][x] = -1
+                row[x] = -1
+                mu, nu = rep(g), rep(d)
+                if table[mu][x] != -1:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x] != -1:
+                    merge(mu, table[nu][x], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x] = mu
+
+    def define(a, x):
+        if len(table) >= cap:
+            return -1
+        n = len(table)
+        table.append([-1] * n_gens)
+        p.append(n)
+        table[a][x] = n
+        table[n][x] = a
+        return n
+
+    def scan_and_fill(a, w):
+        f, i = a, 0
+        b, j = a, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] != -1:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            while j >= i and table[b][w[j]] != -1:
+                b = table[b][w[j]]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return True
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i]] = f
+                return True
+            if define(f, w[i]) == -1:
+                return False
+
+    alpha = 0
+    while alpha < len(table):
+        if p[alpha] != alpha:
+            alpha += 1
+            continue
+        for x in range(n_gens):
+            if table[alpha][x] == -1:
+                if define(alpha, x) == -1:
+                    return False, 0, len(table)
+        for w in relators:
+            if not scan_and_fill(alpha, w):
+                return False, 0, len(table)
+            if p[alpha] != alpha:
+                break
+        if p[alpha] == alpha:
+            for x in range(n_gens):
+                if table[alpha][x] == -1:
+                    if define(alpha, x) == -1:
+                        return False, 0, len(table)
+        alpha += 1
+
+    order = sum(1 for k in range(len(p)) if p[k] == k)
+    return True, order, len(table)
+
+
+def row_table_enumerate(sysm, cap):
+    """(complete, order, cosets_defined) of the whole group by the oracle."""
+    words = [[s, t] * m for s, t, m in coxeter_relators(sysm, sysm.generators)]
+    complete, order, defined = _row_table_enumerate_cosets(sysm.rank, words, cap)
+    return complete, order if complete else None, defined
+
+
+@st.composite
+def shuffled_systems(draw):
+    """Systems of rank 1-6 with their generators in random order: labels 2-7
+    or inf at random, or a finite diagram of rank 4-6, whose enumerations meet
+    coincidences (random labels seldom do)."""
+    if draw(st.booleans(), label="finite type"):
+        sysm = draw(st.sampled_from([s for _, s, _ in FINITE_TYPES if 4 <= s.rank <= 6]))
+    else:
+        names = [f"g{k}" for k in range(draw(st.integers(1, 6), label="rank"))]
+        sysm = make_system(names, {pair: draw(st.sampled_from([2, 3, 4, 5, 6, 7, INF]))
+                                   for pair in combinations(names, 2)})
+    return reordered(sysm, draw(st.permutations(sysm.generators), label="order"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shuffled_systems(), st.integers(1, 5_000))
+@example(path_system([3] * 4), 3)         # the cap is hit in the row fill
+@example(complete_graph_system(3), 100)   # inside a scan
+@example(path_system([3] * 4), 700)       # inside a scan, after coincidences
+def test_coset_kernel_matches_row_table_oracle(sysm, cap):
+    table = todd_coxeter_enumerate(sysm, sysm.generators, cap=cap)
+    assert (table.complete, table.order, table.cosets_defined) == row_table_enumerate(sysm, cap)
 
 
 BALL_TYPES = [t for t in FINITE_TYPES if t[0] in ("A4", "B4", "D4", "F4", "H3")]
