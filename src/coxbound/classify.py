@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve
+from .nerve import NerveComplex, _complete_1d, build_nerve
 from .system import EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type
 
 CIRCLE = "Circle"
@@ -48,7 +48,8 @@ class ClassificationReport:
 def serre_fa_criterion(sys: CoxeterSystem) -> bool:
     """Serre's sufficient criterion for Property FA: every pairwise product
     has finite order.  True on the criterion, not on Property FA itself."""
-    return all(sys.m(s, t) != INF for s, t in sys.pairs())
+    full = (1 << sys.rank) - 1
+    return all(mask >> (i + 1) == full >> (i + 1) for i, mask in enumerate(sys.finite_masks))
 
 
 def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
@@ -59,10 +60,16 @@ def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
     """Isolated flats hold for complete-graph nerves; asserts the mechanism
     (no two adjacent nerve edges are both labeled 2)."""
-    complete, _ = is_complete_1d_nerve(nerve)
+    edges = nerve.edges()
+    complete, _ = _complete_1d(nerve, edges)
     if not complete:
         raise ValueError("isolated_flats_check requires a complete 1-dimensional nerve")
-    twos = Counter(v for e in nerve.edges() if sys.m(*e) == 2 for v in e)
+    return _isolated_flats(sys, nerve, edges)
+
+
+def _isolated_flats(sys: CoxeterSystem, nerve: NerveComplex, edges: list[tuple[str, str]]) -> bool:
+    """`isolated_flats_check` on a complete nerve whose edges are already read."""
+    twos = Counter(v for e in edges if sys.m(*e) == 2 for v in e)
     for v in nerve.vertices:
         if twos[v] >= 2:
             # would contradict 1-dimensionality: a (2,2,m) triple is finite
@@ -82,8 +89,9 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     hyperbolic = not has_euc
 
     nerve = build_nerve(sys, max_dim=2)
-    complete1d, nverts = is_complete_1d_nerve(nerve)
-    flats = isolated_flats_check(sys, nerve) if complete1d else False
+    edges = nerve.edges()
+    complete1d, nverts = _complete_1d(nerve, edges)
+    flats = _isolated_flats(sys, nerve, edges) if complete1d else False
 
     def report(boundary: BoundaryClass) -> ClassificationReport:
         return ClassificationReport(sys, boundary, n, fa, has_euc, hyperbolic,
@@ -146,16 +154,19 @@ def report_to_json(r: ClassificationReport) -> str:
     pure-Python indenting path cost more than the classification itself."""
     sysm = r.system
     quoted = {g: json.dumps(g) for g in sysm.generators}
+    names = list(quoted.values())
     labels = []
-    for s, t in sysm.pairs():
-        m = sysm.m(s, t)
-        labels.append(_array((quoted[s], quoted[t], '"inf"' if m == INF else str(int(m))), 3))
+    for i, row in enumerate(sysm.label_rows):
+        s = names[i]
+        for j in range(i + 1, len(row)):
+            m = row[j]
+            labels.append(_LABEL.format(s, names[j], '"inf"' if m == INF else int(m)))
     euclidean = [_array([quoted[g] for g in trip], 2)
                  for trip, tt in r.triangle_census if tt.kind == EUCLIDEAN]
     return "\n".join((
         "{",
         '  "system": {',
-        f'    "generators": {_array(list(quoted.values()), 2)},',
+        f'    "generators": {_array(names, 2)},',
         f'    "labels": {_array(labels, 2)}',
         "  },",
         f'  "n": {r.n},',
@@ -167,6 +178,10 @@ def report_to_json(r: ClassificationReport) -> str:
         f'  "citations": {_array([json.dumps(c) for c in r.citations], 1)}',
         "}",
     ))
+
+
+# one [s, t, m] entry of "labels", laid out as `_array` lays out depth 3
+_LABEL = "[\n        {},\n        {},\n        {}\n      ]"
 
 
 def _array(items, depth: int) -> str:

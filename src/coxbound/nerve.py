@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .system import INF, SPHERICAL, CoxeterSystem, is_finite_type
+from .system import SPHERICAL, CoxeterSystem, _triangle, is_finite_type
 
 # networkx is imported inside the functions that use it, not at module import:
 # only `graph` and `is_planar` use it, and the classify path never loads it.
@@ -55,63 +55,60 @@ def edge_length_fraction(m: int) -> Fraction:
 def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     """Nerve up to dimension max_dim: all finite-type subsets of size <= max_dim + 1.
 
-    Supersets of infinite-type subsets are pruned level by level (finite type
-    is downward closed, so only extensions of stored simplices can be finite).
-    The labels decide the two lowest levels: a pair is an edge iff its label is
-    finite, and a triple whose three edges are present is a 2-simplex iff its
-    labels a, b, c satisfy 1/a + 1/b + 1/c > 1 (read from the system's
-    triangle census).  Only subsets of four or more generators go through
-    diagram matching (`is_finite_type`).
+    Read from the system's label rows and finite-label bit masks.  A pair is
+    an edge iff its label is finite.  The third vertices a triple {i, j, k}
+    (i < j < k) can take are the common finite neighbours of the edge {i, j}
+    above j; each is a 2-simplex iff its labels a, b, c satisfy
+    1/a + 1/b + 1/c > 1, decided by the integer comparison of `triangle_type`
+    (no triangle census is built).  Larger subsets extend the previous level
+    (finite type is downward closed): a candidate needs every facet stored,
+    and goes through diagram matching (`is_finite_type`).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     gens = sys.generators
-    simplices: list[tuple[str, ...]] = []
-    edge_lengths: dict[tuple[str, str], Fraction] = {}
-    prev_level = [(g,) for g in gens]
-    for size in range(2, max_dim + 2):
-        prev_set = set(prev_level)
+    rows = sys.label_rows
+    fin = sys.finite_masks
+    edges = [(i, j) for i, mask in enumerate(fin)
+             for j in range(i + 1, mask.bit_length()) if mask >> j & 1]
+    edge_lengths = {(gens[i], gens[j]): edge_length_fraction(int(rows[i][j])) for i, j in edges}
+    simplices = list(edge_lengths)
+    level = edges
+    if max_dim >= 2:
         level = []
+        for i, j in edges:
+            common = fin[i] & fin[j]
+            ri, rj, a = rows[i], rows[j], rows[i][j]
+            for k in range(j + 1, common.bit_length()):
+                if common >> k & 1 and _triangle(a, rj[k], ri[k]).kind == SPHERICAL:
+                    level.append((i, j, k))
+        simplices += [(gens[i], gens[j], gens[k]) for i, j, k in level]
+    for size in range(4, max_dim + 2):
+        prev_set = set(level)
+        prev_level, level = level, []
         for base in prev_level:
-            last = sys.index(base[-1])
-            for g in gens[last + 1:]:
+            for g in range(base[-1] + 1, len(gens)):
                 cand = base + (g,)
                 # all facets must already be present
                 if any(cand[:i] + cand[i + 1:] not in prev_set for i in range(size - 1)):
                     continue
-                if _finite_type(sys, cand):
+                names = tuple(gens[i] for i in cand)
+                if is_finite_type(sys, names).finite:
                     level.append(cand)
-        if not level:
-            break
-        simplices.extend(level)
-        prev_level = level
-    for s, t in sys.pairs():
-        m = sys.m(s, t)
-        if m != INF:
-            edge_lengths[(s, t)] = edge_length_fraction(int(m))
+                    simplices.append(names)
     return NerveComplex(gens, tuple(simplices), max_dim, edge_lengths)
-
-
-def _finite_type(sys: CoxeterSystem, cand: tuple[str, ...]) -> bool:
-    """Finite type of a candidate simplex whose facets are all simplices.
-
-    An edge needs a finite label.  A triple's three labels are then finite, and
-    it is finite iff its triangle type is spherical.  Larger subsets are
-    matched against the finite diagrams.
-    """
-    if len(cand) == 2:
-        return sys.m(*cand) != INF
-    if len(cand) == 3:
-        return sys.triangle_census[cand].kind == SPHERICAL
-    return is_finite_type(sys, cand).finite
 
 
 def is_complete_1d_nerve(n: NerveComplex) -> tuple[bool, int | None]:
     """(True, vertex count) iff the nerve is the 1-dimensional complete graph."""
+    return _complete_1d(n, n.edges())
+
+
+def _complete_1d(n: NerveComplex, edges: list[tuple[str, str]]) -> tuple[bool, int | None]:
+    """`is_complete_1d_nerve` on the nerve's edges, already read: the nerve is
+    1-dimensional iff it has an edge and every simplex is one."""
     nv = len(n.vertices)
-    if n.dimension != 1:
-        return False, None
-    if len(n.edges()) != nv * (nv - 1) // 2:
+    if not edges or len(edges) != len(n.simplices) or len(edges) != nv * (nv - 1) // 2:
         return False, None
     return True, nv
 

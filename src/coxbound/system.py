@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional
 
 # numpy is imported inside the functions that use it, not at module import:
@@ -36,12 +35,13 @@ class CoxeterSystem:
     orders: dict[tuple[str, str], float] = field(hash=False)
 
     def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+        gens = set(self.generators)
+        if len(gens) != len(self.generators):
             raise PresentationError("duplicate generator")
         for (s, t), m in self.orders.items():
             if s == t:
                 raise PresentationError(f"diagonal entry for {s} not allowed")
-            if s not in self.generators or t not in self.generators:
+            if s not in gens or t not in gens:
                 raise PresentationError(f"unknown generator in pair ({s},{t})")
             if m != INF and (int(m) != m or m < 2):
                 raise PresentationError(f"label m({s},{t}) = {m} out of range (>= 2 or inf)")
@@ -71,20 +71,62 @@ class CoxeterSystem:
     @cached_property
     def diagram_index(self) -> tuple[dict[str, int], tuple[int, ...]]:
         """The position of each generator, and per position the bit mask of its
-        Coxeter-diagram neighbours (m_st >= 3, infinity included).  Built on
-        first use; the system is immutable, so it never goes stale."""
-        position = {g: i for i, g in enumerate(self.generators)}
-        neighbours = tuple(
-            sum(1 << j for j, t in enumerate(self.generators) if t != s and self.m(s, t) >= 3)
-            for s in self.generators)
+        Coxeter-diagram neighbours (m_st >= 3, infinity included)."""
+        position, _, neighbours, _ = self._label_matrix
         return position, neighbours
 
     @cached_property
+    def label_rows(self) -> tuple[tuple[float, ...], ...]:
+        """m_st for every pair of positions in generator order: 1 on the
+        diagonal, INF for unlisted pairs, each finite label as given."""
+        return self._label_matrix[1]
+
+    @cached_property
+    def finite_masks(self) -> tuple[int, ...]:
+        """Per position, the bit mask of the generators t with m_st finite."""
+        return self._label_matrix[3]
+
+    @cached_property
+    def _label_matrix(self):
+        """Positions, label rows, neighbour masks and finite-label masks, read
+        from `orders` in one pass on first use; the system is immutable, so
+        they never go stale."""
+        gens = self.generators
+        n = len(gens)
+        position = {g: i for i, g in enumerate(gens)}
+        rows = [[INF] * n for _ in range(n)]
+        finite = [0] * n
+        big = [0] * n
+        for (s, t), m in self.orders.items():
+            i, j = position[s], position[t]
+            rows[i][j] = m
+            finite[i] |= 1 << j
+            if m >= 3:
+                big[i] |= 1 << j
+        full = (1 << n) - 1
+        for i in range(n):
+            rows[i][i] = 1
+        # an unlisted pair has infinite order, so it is a diagram edge
+        neighbours = tuple(big[i] | (full ^ finite[i] ^ 1 << i) for i in range(n))
+        return position, tuple(map(tuple, rows)), neighbours, tuple(finite)
+
+    @cached_property
     def triangle_census(self) -> dict[tuple[str, str, str], TriangleType]:
-        """The `triangle_type` of every 3-subset of generators, keyed in
-        `combinations(generators, 3)` order.  Built once on first use and
-        shared by every reader; callers must not modify it."""
-        return {trip: triangle_type(self, trip) for trip in combinations(self.generators, 3)}
+        """The triangle type of every 3-subset of generators, keyed in
+        `combinations(generators, 3)` order.  Read from the label rows, each
+        entry by the same integer comparison as `triangle_type`; built only
+        when first read and shared by every reader; callers must not modify it."""
+        gens = self.generators
+        rows = self.label_rows
+        n = len(gens)
+        census = {}
+        for i in range(n):
+            ri, gi = rows[i], gens[i]
+            for j in range(i + 1, n):
+                rj, gj, a = rows[j], gens[j], ri[j]
+                for k in range(j + 1, n):
+                    census[gi, gj, gens[k]] = _triangle(a, rj[k], ri[k])
+        return census
 
     def pairs(self):
         gens = self.generators
@@ -188,18 +230,27 @@ class TriangleType:
 def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
     """Spherical / Euclidean / Hyperbolic by an exact integer comparison.
 
-    The reciprocal sum of the labels is compared with 1 with its denominators
-    cleared: num / den accumulates 1/m over the finite labels, so for labels
-    a, b, c this compares ab + bc + ca with abc; an infinite label adds 0.
+    The labels (m_rs, m_st, m_rt) go to `_triangle`, the one triangle-type
+    computation, which the census and the nerve call on label rows as well.
     """
     trip = tuple(triple)
     if len(set(trip)) != 3:
         raise ValueError("triangle_type needs exactly 3 distinct generators")
     r, s, t = trip
     label = sys.orders.get
-    ms = (label((r, s), INF), label((s, t), INF), label((r, t), INF))
+    return _triangle(label((r, s), INF), label((s, t), INF), label((r, t), INF))
+
+
+# typed: 3 and 3.0 are separate entries, so `TriangleType.triple` keeps the
+# label types it was given
+@lru_cache(maxsize=4096, typed=True)
+def _triangle(a: float, b: float, c: float) -> TriangleType:
+    """The triangle type of labels a, b, c.  The reciprocal sum is compared
+    with 1 with its denominators cleared: num / den accumulates 1/m over the
+    finite labels, so for finite labels this compares ab + bc + ca with abc;
+    an infinite label adds 0."""
     num, den = 0, 1
-    for m in ms:
+    for m in (a, b, c):
         if m != INF:
             m = int(m)
             num, den = num * m + den, den * m
@@ -209,7 +260,7 @@ def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
         kind = EUCLIDEAN
     else:
         kind = HYPERBOLIC
-    return TriangleType(kind, ms)
+    return TriangleType(kind, (a, b, c))
 
 
 # --- irreducible components and finite-type recognition ---------------------

@@ -14,7 +14,7 @@ from coxbound.classify import (classify_boundary, euclidean_triple_scan,
                                isolated_flats_check, report_to_dict,
                                report_to_json, serre_fa_criterion)
 from coxbound.nerve import build_nerve
-from coxbound.system import INF, complete_graph_system, make_system
+from coxbound.system import INF, _triangle, complete_graph_system, make_system
 
 
 def test_trichotomy_all3():
@@ -129,22 +129,21 @@ def test_report_json_matches_json_dumps(data):
 
 
 def test_classify_work_counts(monkeypatch):
-    # one triangle type per triple, and diagram matching only for the whole group
-    calls = {"triangle_type": 0, "is_finite_type": 0}
+    # the triangle type is computed once per distinct label triple, and the
+    # diagram matching runs only for the whole group
+    calls = {"is_finite_type": 0}
+    original = coxbound.system.is_finite_type
 
-    def counting(name):
-        original = getattr(coxbound.system, name)
+    def counted(*args):
+        calls["is_finite_type"] += 1
+        return original(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-        return counted
-
-    for name in calls:
-        wrapped = counting(name)
-        for module in (coxbound.system, coxbound.nerve, coxbound.classify):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    for module in (coxbound.system, coxbound.nerve, coxbound.classify):
+        if hasattr(module, "is_finite_type"):
+            monkeypatch.setattr(module, "is_finite_type", counted)
+    _triangle.cache_clear()
     classify_boundary(complete_graph_system(12))
-    assert calls["triangle_type"] == 220     # C(12, 3)
+    info = _triangle.cache_info()
+    assert info.misses == 1                  # every triple reads (3, 3, 3)
+    assert info.hits + info.misses == 440    # C(12, 3) census entries + nerve candidates
     assert calls["is_finite_type"] <= 1

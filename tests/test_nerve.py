@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxbound.nerve import (build_nerve, edge_length_fraction,
+from coxbound.nerve import (NerveComplex, build_nerve, edge_length_fraction,
                             is_complete_1d_nerve, is_planar, nerve_to_json)
-from coxbound.system import INF, complete_graph_system, is_finite_type, make_system
+from coxbound.system import (INF, SPHERICAL, _triangle, complete_graph_system,
+                             is_finite_type, make_system, triangle_type)
 
 
 # --- independent planarity oracle: Wagner's theorem by brute-force minors ------
@@ -174,3 +175,87 @@ def test_nerve_tetrahedra_match_brute_force():
         expected = [subset for size in (2, 3, 4) for subset in combinations(gens, size)
                     if is_finite_type(sysm, subset).finite]
         assert build_nerve(sysm, 3).simplices == tuple(expected), labels
+
+
+# --- the generic level walk against the label-matrix nerve ---------------------
+#
+# The walk below is `build_nerve` as it was before it read label rows and bit
+# masks: every level extends the previous one by a later generator, keeps the
+# candidates whose facets are all stored, and decides them by name (an edge by
+# its label, a triple by the triangle census, larger subsets by diagram
+# matching).
+
+def _walk_nerve(sys, max_dim=2):
+    gens = sys.generators
+    simplices = []
+    edge_lengths = {}
+    prev_level = [(g,) for g in gens]
+    for size in range(2, max_dim + 2):
+        prev_set = set(prev_level)
+        level = []
+        for base in prev_level:
+            last = sys.index(base[-1])
+            for g in gens[last + 1:]:
+                cand = base + (g,)
+                if any(cand[:i] + cand[i + 1:] not in prev_set for i in range(size - 1)):
+                    continue
+                if _walk_finite_type(sys, cand):
+                    level.append(cand)
+        if not level:
+            break
+        simplices.extend(level)
+        prev_level = level
+    for s, t in sys.pairs():
+        m = sys.m(s, t)
+        if m != INF:
+            edge_lengths[(s, t)] = edge_length_fraction(int(m))
+    return NerveComplex(gens, tuple(simplices), max_dim, edge_lengths)
+
+
+def _walk_finite_type(sys, cand):
+    if len(cand) == 2:
+        return sys.m(*cand) != INF
+    if len(cand) == 3:
+        return sys.triangle_census[cand].kind == SPHERICAL
+    return is_finite_type(sys, cand).finite
+
+
+_NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h", "x1", "x2", "zz", "Q"]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_nerve_and_census_match_level_walk(data):
+    rank = data.draw(st.integers(1, 8), label="rank")
+    gens = data.draw(st.permutations(_NAME_POOL), label="names")[:rank]
+    # integer and float labels: the census keeps the types it reads
+    label = st.sampled_from([2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 6.0])
+    sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
+    max_dim = data.draw(st.integers(1, 4), label="max_dim")
+    nerve = build_nerve(sysm, max_dim)
+    expected = _walk_nerve(sysm, max_dim)
+    assert nerve == expected
+    assert list(nerve.edge_lengths) == list(expected.edge_lengths)
+    assert nerve_to_json(sysm, nerve) == nerve_to_json(sysm, expected)
+    census = sysm.triangle_census
+    assert list(census) == list(combinations(gens, 3))
+    for trip, tt in census.items():
+        direct = triangle_type(sysm, trip)
+        assert tt == direct
+        assert [type(m) for m in tt.triple] == [type(m) for m in direct.triple]
+
+
+def test_sparse_nerve_builds_no_census():
+    # a path of 3s with one extra label 2: the only candidate triple is the
+    # one the extra edge closes, and the level walk read all C(24, 3) = 2,024
+    gens = [f"s{i + 1}" for i in range(24)]
+    labels = {(a, b): 3 for a, b in zip(gens, gens[1:])}
+    labels[("s10", "s12")] = 2
+    sysm = make_system(gens, labels)
+    _triangle.cache_clear()
+    nerve = build_nerve(sysm)
+    info = _triangle.cache_info()
+    assert info.hits + info.misses == 1
+    assert "triangle_census" not in sysm.__dict__
+    assert len(nerve.edges()) == 24
+    assert [s for s in nerve.simplices if len(s) == 3] == [("s10", "s11", "s12")]

@@ -58,6 +58,35 @@ def test_parse_rejects(bad):
         parse_system(bad)
 
 
+def test_system_construction_errors():
+    # each entry is checked in `orders` order: diagonal, membership, range, symmetry
+    cases = [
+        (("a", "a"), {}, "duplicate generator"),
+        (("a", "b"), {("z", "z"): 3, ("a", "b"): 3, ("b", "a"): 4},
+         "diagonal entry for z not allowed"),
+        (("a", "b"), {("a", "c"): 3, ("c", "a"): 3}, "unknown generator in pair (a,c)"),
+        (("a", "b"), {("b", "a"): 3, ("a", "c"): 1}, "unknown generator in pair (a,c)"),
+        (("a", "b"), {("a", "b"): 1, ("b", "a"): 1}, "label m(a,b) = 1 out of range (>= 2 or inf)"),
+        (("a", "b"), {("a", "b"): 3, ("b", "a"): 4}, "asymmetric labels for pair (a,b)"),
+        (("a", "b", "c"), {("b", "c"): 3, ("c", "b"): 3, ("a", "b"): 5, ("b", "a"): 3},
+         "asymmetric labels for pair (a,b)"),
+    ]
+    for gens, orders, message in cases:
+        with pytest.raises(PresentationError) as excinfo:
+            CoxeterSystem(gens, orders)
+        assert str(excinfo.value) == message
+
+
+def test_label_rows_and_masks():
+    sysm = make_system("dcba", {("d", "c"): 2, ("d", "b"): 3, ("c", "a"): 4.0, ("b", "a"): 5})
+    assert sysm.label_rows == ((1, 2, 3, INF), (2, 1, INF, 4.0), (3, INF, 1, 5), (INF, 4.0, 5, 1))
+    assert type(sysm.label_rows[1][3]) is float
+    assert sysm.finite_masks == (0b0110, 0b1001, 0b1001, 0b0110)
+    # diagram neighbours: m >= 3, infinity included
+    assert sysm.diagram_index == ({"d": 0, "c": 1, "b": 2, "a": 3},
+                                  (0b1100, 0b1100, 0b1011, 0b0111))
+
+
 def test_triangle_type_trichotomy():
     assert triangle_type(triangle(2, 3, 5), "xyz").kind == "Spherical"
     assert triangle_type(triangle(3, 3, 3), "xyz").kind == "Euclidean"
