@@ -9,11 +9,10 @@ refused with a machine-readable OutOfScope reason rather than guessed.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .nerve import NerveComplex, _complete_1d, build_nerve
+from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve
 from .system import EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type
 
 CIRCLE = "Circle"
@@ -60,18 +59,17 @@ def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
     """Isolated flats hold for complete-graph nerves; asserts the mechanism
     (no two adjacent nerve edges are both labeled 2)."""
-    edges = nerve.edges()
-    complete, _ = _complete_1d(nerve, edges)
+    complete, _ = is_complete_1d_nerve(nerve)
     if not complete:
         raise ValueError("isolated_flats_check requires a complete 1-dimensional nerve")
-    return _isolated_flats(sys, nerve, edges)
+    return _isolated_flats(sys)
 
 
-def _isolated_flats(sys: CoxeterSystem, nerve: NerveComplex, edges: list[tuple[str, str]]) -> bool:
-    """`isolated_flats_check` on a complete nerve whose edges are already read."""
-    twos = Counter(v for e in edges if sys.m(*e) == 2 for v in e)
-    for v in nerve.vertices:
-        if twos[v] >= 2:
+def _isolated_flats(sys: CoxeterSystem) -> bool:
+    """`isolated_flats_check` on a system whose nerve is already known to be
+    complete and 1-dimensional, so that every pair is a nerve edge."""
+    for v, row in zip(sys.generators, sys.label_rows):
+        if row.count(2) >= 2:
             # would contradict 1-dimensionality: a (2,2,m) triple is finite
             raise AssertionError(
                 f"nerve inconsistency: vertex {v} has two incident edges labeled 2")
@@ -89,9 +87,8 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     hyperbolic = not has_euc
 
     nerve = build_nerve(sys, max_dim=2)
-    edges = nerve.edges()
-    complete1d, nverts = _complete_1d(nerve, edges)
-    flats = _isolated_flats(sys, nerve, edges) if complete1d else False
+    complete1d, nverts = is_complete_1d_nerve(nerve)
+    flats = _isolated_flats(sys) if complete1d else False
 
     def report(boundary: BoundaryClass) -> ClassificationReport:
         return ClassificationReport(sys, boundary, n, fa, has_euc, hyperbolic,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .nerve import NerveComplex, build_nerve
-from .system import (INF, CoxeterSystem, cosine_matrix, geometric_representation,
-                     triangle_type)
+from .classify import serre_fa_criterion
+from .nerve import NerveComplex, build_nerve, edge_length_fraction
+from .system import CoxeterSystem, cosine_matrix, geometric_representation, triangle_type
 from .words import cayley_ball, word_context
 
 # numpy is imported inside the functions that use it, not at module import:
@@ -54,16 +54,13 @@ def build_davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
     ball = cayley_ball(sys, radius)
     ctx = word_context(sys)
     gens = sys.generators
-    pairs = [(i, j, int(sys.m(gens[i], gens[j])))
-             for i in range(sys.rank) for j in range(i + 1, sys.rank)
-             if sys.m(gens[i], gens[j]) != INF]
 
     # Each <s,t>-coset has one shortest element g, the only member with both
     # gs and gt longer; the coset's members then have lengths |g| .. |g| + m,
     # so it lies in the ball exactly when |g| + m <= radius.
     faces = []
     for g in map(ctx.encode, ball.vertices):
-        for si, ti, m in pairs:
+        for si, ti, m in sys._finite_pairs:
             if len(g) + m <= radius:
                 cycle = _dihedral_coset_cycle(ctx, g, si, ti, m)
                 if cycle is not None:
@@ -98,8 +95,9 @@ def vertex_link(ball: DavisBall, v: Vertex) -> LinkGraph:
     """Link graph at an interior vertex: one node per generator direction, one
     edge per polygon corner, carrying the angle (1 - 1/m_st) * pi."""
     sys = ball.system
-    max_m = max((int(m) for m in (sys.m(s, t) for s, t in sys.pairs()) if m != INF),
-                default=2)
+    gens = sys.generators
+    labels = {(gens[i], gens[j]): m for i, j, m in sys._finite_pairs}
+    max_m = max(labels.values(), default=2)
     depth = len(v)
     if depth > ball.radius - max_m:
         raise ValueError(
@@ -110,7 +108,7 @@ def vertex_link(ball: DavisBall, v: Vertex) -> LinkGraph:
         if v in cycle:
             corners.add((s, t))
     directions = tuple(sys.generators)
-    angles = {e: Fraction(int(sys.m(*e)) - 1, int(sys.m(*e))) for e in corners}
+    angles = {e: edge_length_fraction(labels[e]) for e in corners}
     return LinkGraph(directions, tuple(sorted(corners)), angles)
 
 
@@ -156,7 +154,7 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
 
     if sys.rank != 3:
         raise ValueError("tessellation requires exactly 3 generators")
-    if any(sys.m(s, t) == INF for s, t in sys.pairs()):
+    if not serre_fa_criterion(sys):
         raise ValueError("tessellation requires a complete K_3 nerve (all m_st finite)")
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -165,9 +163,9 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         # affine case: the Tits chamber degenerates (vertices hit the form's
         # kernel), so build the Euclidean triangle directly and unfold it by
         # edge reflections.  Angle at the wall-pair vertex {s,t} is pi/m_st.
-        a, b, c = sys.generators
-        alpha = math.pi / float(sys.m(a, b))
-        beta = math.pi / float(sys.m(a, c))
+        (_, _, m_ab), (_, _, m_ac), _ = sys._finite_pairs
+        alpha = math.pi / m_ab
+        beta = math.pi / m_ac
         # vertices: P_ab at origin, P_ac at (1,0), P_bc above
         x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
         tri0 = np.array([[0.0, 0.0], [1.0, 0.0], [x, x * math.tan(alpha)]])

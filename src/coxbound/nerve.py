@@ -55,10 +55,10 @@ def edge_length_fraction(m: int) -> Fraction:
 def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     """Nerve up to dimension max_dim: all finite-type subsets of size <= max_dim + 1.
 
-    Read from the system's label rows and finite-label bit masks.  A pair is
-    an edge iff its label is finite.  The third vertices a triple {i, j, k}
-    (i < j < k) can take are the common finite neighbours of the edge {i, j}
-    above j; each is a 2-simplex iff its labels a, b, c satisfy
+    Read from the system's finite pairs, label rows and finite-label bit
+    masks.  A pair is an edge iff its label is finite.  The third vertices a
+    triple {i, j, k} (i < j < k) can take are the common finite neighbours of
+    the edge {i, j} above j; each is a 2-simplex iff its labels a, b, c satisfy
     1/a + 1/b + 1/c > 1, decided by the integer comparison of `triangle_type`
     (no triangle census is built).  Larger subsets extend the previous level
     (finite type is downward closed): a candidate needs every facet stored,
@@ -69,14 +69,12 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     gens = sys.generators
     rows = sys.label_rows
     fin = sys.finite_masks
-    edges = [(i, j) for i, mask in enumerate(fin)
-             for j in range(i + 1, mask.bit_length()) if mask >> j & 1]
-    edge_lengths = {(gens[i], gens[j]): edge_length_fraction(int(rows[i][j])) for i, j in edges}
+    pairs = sys._finite_pairs
+    edge_lengths = {(gens[i], gens[j]): edge_length_fraction(m) for i, j, m in pairs}
     simplices = list(edge_lengths)
-    level = edges
+    level = []
     if max_dim >= 2:
-        level = []
-        for i, j in edges:
+        for i, j, _ in pairs:
             common = fin[i] & fin[j]
             ri, rj, a = rows[i], rows[j], rows[i][j]
             for k in range(j + 1, common.bit_length()):
@@ -100,13 +98,9 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
 
 
 def is_complete_1d_nerve(n: NerveComplex) -> tuple[bool, int | None]:
-    """(True, vertex count) iff the nerve is the 1-dimensional complete graph."""
-    return _complete_1d(n, n.edges())
-
-
-def _complete_1d(n: NerveComplex, edges: list[tuple[str, str]]) -> tuple[bool, int | None]:
-    """`is_complete_1d_nerve` on the nerve's edges, already read: the nerve is
-    1-dimensional iff it has an edge and every simplex is one."""
+    """(True, vertex count) iff the nerve is the 1-dimensional complete graph:
+    it has an edge, every simplex is one, and every pair is one."""
+    edges = n.edges()
     nv = len(n.vertices)
     if not edges or len(edges) != len(n.simplices) or len(edges) != nv * (nv - 1) // 2:
         return False, None
@@ -124,12 +118,14 @@ def is_planar(n: NerveComplex) -> bool:
 
 
 def nerve_to_json(sys: CoxeterSystem, n: NerveComplex) -> str:
+    gens = sys.generators
+    labels = {(gens[i], gens[j]): m for i, j, m in sys._finite_pairs}
     payload = {
         "vertices": list(n.vertices),
         "edges": [
             {
                 "pair": list(e),
-                "m": int(sys.m(*e)),
+                "m": labels[e],
                 "length_over_pi": [n.edge_lengths[e].numerator, n.edge_lengths[e].denominator],
             }
             for e in n.edges()

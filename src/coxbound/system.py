@@ -6,6 +6,11 @@ finiteness decisions are made exactly: triangle types by an integer comparison
 of the labels, other subsets by matching irreducible diagram components against
 the classified finite types; no floating point is involved anywhere except in
 `geometric_representation`, which exists for rendering.
+
+A `CoxeterSystem` is checked and indexed once, when it is built, and this
+module is the only one that knows how its labels are stored: the other
+modules read them by generator position, through `label_rows`,
+`finite_masks`, `diagram_index` and the finite pairs.
 """
 
 from __future__ import annotations
@@ -29,28 +34,61 @@ class PresentationError(ValueError):
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """Generators plus symmetric order matrix; immutable after construction."""
+    """Generators plus symmetric order matrix; immutable after construction.
+
+    `orders` may give a pair one way round or both.  Construction checks each
+    entry, keeps the symmetric closure of the finite labels in `orders`, and
+    in the same pass fills `label_rows` (m_st by position: 1 on the diagonal,
+    INF for unlisted pairs, finite labels as given), `finite_masks` (per
+    position, the bit mask of the t with m_st finite) and `diagram_index`
+    (each generator's position, and per position the bit mask of its diagram
+    neighbours: m_st >= 3, infinity included).
+    """
 
     generators: tuple[str, ...]
     orders: dict[tuple[str, str], float] = field(hash=False)
 
     def __post_init__(self):
-        gens = set(self.generators)
-        if len(gens) != len(self.generators):
+        gens = self.generators
+        n = len(gens)
+        position = {g: i for i, g in enumerate(gens)}
+        if len(position) != n:
             raise PresentationError("duplicate generator")
-        for (s, t), m in self.orders.items():
+        given = self.orders
+        orders = {}
+        rows = [[INF] * n for _ in range(n)]
+        finite = [0] * n
+        two = [0] * n
+        for (s, t), m in given.items():
             if s == t:
                 raise PresentationError(f"diagonal entry for {s} not allowed")
-            if s not in gens or t not in gens:
+            i, j = position.get(s), position.get(t)
+            if i is None or j is None:
                 raise PresentationError(f"unknown generator in pair ({s},{t})")
             if m != INF and (int(m) != m or m < 2):
                 raise PresentationError(f"label m({s},{t}) = {m} out of range (>= 2 or inf)")
-            if self.orders.get((t, s), m) != m:
+            back = given.get((t, s), m)
+            if back != m:
                 raise PresentationError(f"asymmetric labels for pair ({s},{t})")
-        # normalize: infinity is the default, so explicit entries are dropped
-        if any(m == INF for m in self.orders.values()):
-            object.__setattr__(self, "orders",
-                               {k: v for k, v in self.orders.items() if v != INF})
+            if m != INF:
+                # a pair given one way round is stored both ways
+                orders[s, t] = rows[i][j] = m
+                orders[t, s] = rows[j][i] = back
+                finite[i] |= 1 << j
+                finite[j] |= 1 << i
+                if m == 2:
+                    two[i] |= 1 << j
+                    two[j] |= 1 << i
+        full = (1 << n) - 1
+        for i in range(n):
+            rows[i][i] = 1
+        # every pair that does not commute is a diagram edge, infinity included
+        neighbours = tuple(full ^ two[i] ^ 1 << i for i in range(n))
+        setattr_ = object.__setattr__
+        setattr_(self, "orders", orders)
+        setattr_(self, "label_rows", tuple(map(tuple, rows)))
+        setattr_(self, "finite_masks", tuple(finite))
+        setattr_(self, "diagram_index", (position, neighbours))
 
     def m(self, s: str, t: str) -> float:
         """Order of st; 1 on the diagonal, infinity for unspecified pairs."""
@@ -69,46 +107,12 @@ class CoxeterSystem:
             raise ValueError(f"{s!r} is not a generator") from None
 
     @cached_property
-    def diagram_index(self) -> tuple[dict[str, int], tuple[int, ...]]:
-        """The position of each generator, and per position the bit mask of its
-        Coxeter-diagram neighbours (m_st >= 3, infinity included)."""
-        position, _, neighbours, _ = self._label_matrix
-        return position, neighbours
-
-    @cached_property
-    def label_rows(self) -> tuple[tuple[float, ...], ...]:
-        """m_st for every pair of positions in generator order: 1 on the
-        diagonal, INF for unlisted pairs, each finite label as given."""
-        return self._label_matrix[1]
-
-    @cached_property
-    def finite_masks(self) -> tuple[int, ...]:
-        """Per position, the bit mask of the generators t with m_st finite."""
-        return self._label_matrix[3]
-
-    @cached_property
-    def _label_matrix(self):
-        """Positions, label rows, neighbour masks and finite-label masks, read
-        from `orders` in one pass on first use; the system is immutable, so
-        they never go stale."""
-        gens = self.generators
-        n = len(gens)
-        position = {g: i for i, g in enumerate(gens)}
-        rows = [[INF] * n for _ in range(n)]
-        finite = [0] * n
-        big = [0] * n
-        for (s, t), m in self.orders.items():
-            i, j = position[s], position[t]
-            rows[i][j] = m
-            finite[i] |= 1 << j
-            if m >= 3:
-                big[i] |= 1 << j
-        full = (1 << n) - 1
-        for i in range(n):
-            rows[i][i] = 1
-        # an unlisted pair has infinite order, so it is a diagram edge
-        neighbours = tuple(big[i] | (full ^ finite[i] ^ 1 << i) for i in range(n))
-        return position, tuple(map(tuple, rows)), neighbours, tuple(finite)
+    def _finite_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, m_ij) for every pair of positions i < j with m_ij finite, in
+        pair order, each label as an int."""
+        rows = self.label_rows
+        return tuple((i, j, int(rows[i][j])) for i, mask in enumerate(self.finite_masks)
+                     for j in range(i + 1, mask.bit_length()) if mask >> j & 1)
 
     @cached_property
     def triangle_census(self) -> dict[tuple[str, str, str], TriangleType]:
@@ -136,23 +140,19 @@ class CoxeterSystem:
 
 
 def make_system(generators: Iterable[str], labels: dict[tuple[str, str], float]) -> CoxeterSystem:
-    """Build a system from one-sided labels, symmetrizing automatically."""
-    orders = {}
-    for (s, t), m in labels.items():
-        orders[(s, t)] = m
-        orders[(t, s)] = m
-    return CoxeterSystem(tuple(generators), orders)
+    """Build a system from labels given one way round or both."""
+    return CoxeterSystem(tuple(generators), dict(labels))
 
 
 def complete_graph_system(n: int, label: int = 3, labels: Optional[dict] = None) -> CoxeterSystem:
-    """K_n system: every pair finite.  `labels` may override individual pairs."""
+    """K_n system: every pair finite.  `labels` may override individual pairs,
+    keyed either way round."""
     gens = [f"s{i+1}" for i in range(n)]
-    lab = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lab[(gens[i], gens[j])] = label
-    if labels:
-        lab.update({k: v for k, v in labels.items()})
+    lab = dict(labels or {})
+    for i, s in enumerate(gens):
+        for t in gens[i + 1:]:
+            if (s, t) not in lab and (t, s) not in lab:
+                lab[s, t] = label
     return make_system(gens, lab)
 
 
@@ -194,11 +194,10 @@ def parse_system(text: str) -> CoxeterSystem:
                 raise PresentationError(f"line {lineno}: bad label {lab!r}") from None
             if m < 2:
                 raise PresentationError(f"line {lineno}: off-diagonal label {m} forbidden (must be >= 2)")
-        prev = labels.get((s, t))
+        prev = labels.get((t, s), labels.get((s, t)))
         if prev is not None and prev != m:
             raise PresentationError(f"line {lineno}: conflicting label for pair ({s},{t})")
-        labels[(s, t)] = m
-        labels[(t, s)] = m
+        labels[s, t] = m
     if gens is None:
         raise PresentationError("empty presentation: no 'gens' line")
     return CoxeterSystem(gens, labels)
@@ -206,11 +205,9 @@ def parse_system(text: str) -> CoxeterSystem:
 
 def format_system(sys: CoxeterSystem) -> str:
     """Serialize back to the presentation file format (finite labels only)."""
-    lines = ["gens " + " ".join(sys.generators)]
-    for s, t in sys.pairs():
-        m = sys.m(s, t)
-        if m != INF:
-            lines.append(f"{s} {t} {int(m)}")
+    gens = sys.generators
+    lines = ["gens " + " ".join(gens)]
+    lines += [f"{gens[i]} {gens[j]} {m}" for i, j, m in sys._finite_pairs]
     return "\n".join(lines) + "\n"
 
 
@@ -228,7 +225,8 @@ class TriangleType:
 
 
 def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
-    """Spherical / Euclidean / Hyperbolic by an exact integer comparison.
+    """Spherical / Euclidean / Hyperbolic by an exact integer comparison
+    (ValueError for a name that is not a generator).
 
     The labels (m_rs, m_st, m_rt) go to `_triangle`, the one triangle-type
     computation, which the census and the nerve call on label rows as well.
@@ -236,9 +234,9 @@ def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
     trip = tuple(triple)
     if len(set(trip)) != 3:
         raise ValueError("triangle_type needs exactly 3 distinct generators")
-    r, s, t = trip
-    label = sys.orders.get
-    return _triangle(label((r, s), INF), label((s, t), INF), label((r, t), INF))
+    r, s, t = map(sys.index, trip)
+    rows = sys.label_rows
+    return _triangle(rows[r][s], rows[s][t], rows[r][t])
 
 
 # typed: 3 and 3.0 are separate entries, so `TriangleType.triple` keeps the
@@ -269,12 +267,18 @@ def irreducible_components(sys: CoxeterSystem, subset: Iterable[str]) -> list[tu
     """Connected components of the Coxeter diagram restricted to `subset`.
 
     Diagram edges are the pairs with m_st >= 3 (including infinity); m_st = 2
-    means the generators commute and live in different components.
+    means the generators commute and live in different components.  Names
+    outside the system are ignored.
     """
+    gens = sys.generators
+    return [tuple(gens[i] for i in comp) for comp in _component_positions(sys, subset)]
+
+
+def _component_positions(sys: CoxeterSystem, subset: Iterable[str]) -> list[list[int]]:
+    """`irreducible_components` as lists of generator positions."""
     # subsets are bit masks over generator positions; each component grows from
     # its lowest member, so components come out in generator order, each sorted
     position, neighbours = sys.diagram_index
-    gens = sys.generators
     members = 0
     for g in subset:
         i = position.get(g)
@@ -290,7 +294,7 @@ def irreducible_components(sys: CoxeterSystem, subset: Iterable[str]) -> list[tu
             comp |= grown
             frontier |= grown
         members ^= comp
-        comps.append(tuple(gens[i] for i in range(comp.bit_length()) if comp >> i & 1))
+        comps.append([i for i in range(comp.bit_length()) if comp >> i & 1])
     return comps
 
 
@@ -302,18 +306,19 @@ class FiniteTypeVerdict:
     witness: tuple[str, ...]
 
 
-def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Optional[str]:
-    """Name of the finite-type diagram for an irreducible component, or None.
+def _component_diagram_name(sys: CoxeterSystem, members: list[int]) -> Optional[str]:
+    """Name of the finite-type diagram for an irreducible component, given by
+    its generator positions in increasing order, or None.
 
     Recognizes A_n, B_n, D_n, E6/E7/E8, F4, H3/H4, I2(m).  The component is
     connected with every edge labeled >= 3 (or infinity).
     """
-    n = len(comp)
+    n = len(members)
     if n == 1:
         return "A1"
-    label = sys.orders.get
+    rows = sys.label_rows
     if n == 2:
-        m = label((comp[0], comp[1]), INF)
+        m = rows[members[0]][members[1]]
         if m == INF:
             return None
         m = int(m)
@@ -326,11 +331,12 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
         return f"I2({m})"
     # from rank 3 on, finite-type diagrams are trees with no infinite label:
     # the scan stops at the first infinite label or the n-th edge
-    adj: dict[str, list[tuple[str, int]]] = {g: [] for g in comp}
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in members}
     edges = 0
-    for i, s in enumerate(comp):
-        for t in comp[i + 1:]:
-            m = label((s, t), INF)
+    for k, i in enumerate(members):
+        row = rows[i]
+        for j in members[k + 1:]:
+            m = row[j]
             if m == INF:
                 return None
             if m >= 3:
@@ -338,12 +344,12 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
                 if edges == n:
                     return None
                 m = int(m)
-                adj[s].append((t, m))
-                adj[t].append((s, m))
+                adj[i].append((j, m))
+                adj[j].append((i, m))
     if edges != n - 1:
         return None
-    branch = [g for g in comp if len(adj[g]) >= 3]
-    if len(branch) > 1 or any(len(adj[g]) > 3 for g in comp):
+    branch = [i for i in members if len(adj[i]) >= 3]
+    if len(branch) > 1 or any(len(adj[i]) > 3 for i in members):
         return None
     if branch:
         # D_n / E6 / E7 / E8: all labels 3, branch arm lengths (1,1,k) or (1,2,k)
@@ -358,18 +364,18 @@ def _component_diagram_name(sys: CoxeterSystem, comp: tuple[str, ...]) -> Option
             return {2: "E6", 3: "E7", 4: "E8"}[lengths[2]]
         return None
     # path: locate the non-3 labels
-    end = next(g for g in comp if len(adj[g]) == 1)
+    end = next(i for i in members if len(adj[i]) == 1)
     path_labels = _walk_labels(adj, end, *adj[end][0])
-    big = [(i, m) for i, m in enumerate(path_labels) if m != 3]
+    big = [(k, m) for k, m in enumerate(path_labels) if m != 3]
     if not big:
         return f"A{n}"
     if len(big) > 1:
         return None
-    i, m = big[0]
-    at_end = i == 0 or i == n - 2
+    k, m = big[0]
+    at_end = k == 0 or k == n - 2
     if m == 4 and at_end:
         return f"B{n}"
-    if m == 4 and n == 4 and i == 1:
+    if m == 4 and n == 4 and k == 1:
         return "F4"
     if m == 5 and at_end and n in (3, 4):
         return {3: "H3", 4: "H4"}[n]
@@ -395,10 +401,11 @@ def is_finite_type(sys: CoxeterSystem, subset: Iterable[str]) -> FiniteTypeVerdi
     Todd-Coxeter enumeration.
     """
     names = []
-    for comp in irreducible_components(sys, subset):
+    for comp in _component_positions(sys, subset):
         name = _component_diagram_name(sys, comp)
         if name is None:
-            return FiniteTypeVerdict(False, ("infinite component: " + " ".join(comp),))
+            witness = "infinite component: " + " ".join(sys.generators[i] for i in comp)
+            return FiniteTypeVerdict(False, (witness,))
         names.append(name)
     return FiniteTypeVerdict(True, tuple(names))
 
@@ -438,14 +445,10 @@ def cosine_matrix(sys: CoxeterSystem) -> np.ndarray:
     """Bilinear form B with B[s][t] = -cos(pi/m_st), B[s][s] = 1."""
     import numpy as np
 
-    n = sys.rank
-    B = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = sys.m(sys.generators[i], sys.generators[j])
-            B[i, j] = -1.0 if m == INF else -math.cos(math.pi / m)
+    B = np.full((sys.rank, sys.rank), -1.0)      # -cos(pi/m) -> -1 as m -> infinity
+    np.fill_diagonal(B, 1.0)
+    for i, j, m in sys._finite_pairs:
+        B[i, j] = B[j, i] = -math.cos(math.pi / m)
     return B
 
 

@@ -193,14 +193,10 @@ class WordContext:
     def __init__(self, sys: CoxeterSystem):
         self.system = sys
         self.gens = sys.generators
-        self._index = {g: i for i, g in enumerate(self.gens)}
         n = sys.rank
         m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    mij = sys.m(self.gens[i], self.gens[j])
-                    m[i][j] = 0 if mij == INF else int(mij)
+        for i, j, mij in sys._finite_pairs:
+            m[i][j] = m[j][i] = mij
         self._rank = n
         self._table = _small_root_table(m)
 
@@ -209,8 +205,9 @@ class WordContext:
         return len(self._table) // max(self._rank, 1)
 
     def encode(self, word: Iterable[str]) -> tuple[int, ...]:
+        position = self.system.diagram_index[0]
         try:
-            return tuple(self._index[g] for g in word)
+            return tuple(position[g] for g in word)
         except KeyError as e:
             raise ValueError(f"letter {e.args[0]!r} is not a generator") from None
 
@@ -285,17 +282,15 @@ class CosetTable:
 
 def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[tuple[int, int, int]]:
     """Relators (st)^m_st of the subset's generators, as triples (s, t, m) of
-    subset-local indices with s < t, in pair order; infinite labels give none.
+    subset-local indices with s < t, in pair order; infinite labels give none
+    (ValueError for a name that is not a generator).
 
     The involution relators s^2 are not listed: the coset kernel keeps its
     table symmetric, which enforces them."""
-    rels = []
-    for s in range(len(subset)):
-        for t in range(s + 1, len(subset)):
-            m = sys.m(subset[s], subset[t])
-            if m != INF:
-                rels.append((s, t, int(m)))
-    return rels
+    pos = [sys.index(g) for g in subset]
+    rows = sys.label_rows
+    return [(s, t, int(rows[i][j])) for s, i in enumerate(pos) for t, j in enumerate(pos)
+            if s < t and rows[i][j] != INF]
 
 
 def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],

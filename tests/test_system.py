@@ -11,7 +11,8 @@ from coxbound.system import (INF, CoxeterSystem, PresentationError,
                              irreducible_components, is_finite_type, make_system,
                              parse_system, subgroup_order,
                              triangle_type)
-from coxbound.words import todd_coxeter_enumerate
+from coxbound.words import (WordContext, coxeter_relators, tits_normal_form,
+                            todd_coxeter_enumerate)
 
 
 def triangle(a, b, c):
@@ -56,6 +57,14 @@ def test_parse_comments_and_default_order():
 def test_parse_rejects(bad):
     with pytest.raises(PresentationError):
         parse_system(bad)
+
+
+def test_parse_pair_either_way_round():
+    with pytest.raises(PresentationError) as excinfo:
+        parse_system("gens a b\na b 3\nb a 4\n")
+    assert str(excinfo.value) == "line 3: conflicting label for pair (b,a)"
+    assert parse_system("gens a b\na b 3\nb a 3\n") == parse_system("gens a b\nb a 3\n")
+    assert parse_system("gens a b\nb a 3\n").m("a", "b") == 3
 
 
 def test_system_construction_errors():
@@ -184,6 +193,44 @@ def test_complete_graph_system():
     mixed = complete_graph_system(3, labels={("s1", "s2"): 5})
     assert mixed.m("s1", "s2") == 5
     assert mixed.m("s2", "s3") == 3
+
+
+def test_complete_graph_override_either_way_round():
+    swapped = complete_graph_system(3, labels={("s2", "s1"): 5})
+    assert swapped.m("s1", "s2") == swapped.m("s2", "s1") == 5
+    assert swapped.m("s2", "s3") == 3
+    assert swapped == complete_graph_system(3, labels={("s1", "s2"): 5})
+    with pytest.raises(PresentationError):
+        complete_graph_system(3, labels={("s1", "s2"): 5, ("s2", "s1"): 4})
+
+
+def test_names_outside_the_system_rejected():
+    sysm = triangle(2, 3, 5)
+    with pytest.raises(ValueError):
+        triangle_type(sysm, "xyw")
+    with pytest.raises(ValueError):
+        coxeter_relators(sysm, "xw")
+
+
+def test_one_sided_orders_are_closed():
+    """A pair given one way round in `orders` has its label both ways, as if
+    `make_system` had been given the same labels."""
+    labels = {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 2}
+    one_sided = CoxeterSystem(("a", "b", "c"), labels)
+    assert one_sided.m("b", "a") == 3
+    assert one_sided.orders == {**labels, ("b", "a"): 3, ("c", "b"): 3, ("c", "a"): 2}
+    assert one_sided == make_system("abc", labels)
+    assert WordContext(one_sided).small_root_count == 6       # A3 has 6 reflections
+    assert tits_normal_form(one_sided, "cbc").word == ("b", "c", "b")
+    # infinite labels are dropped, given either way round
+    assert CoxeterSystem(("a", "b"), {("b", "a"): INF}).orders == {}
+
+
+def test_make_system_rejects_asymmetric_labels():
+    with pytest.raises(PresentationError) as excinfo:
+        make_system("ab", {("a", "b"): 3, ("b", "a"): 4})
+    assert str(excinfo.value) == "asymmetric labels for pair (a,b)"
+    assert make_system("ab", {("a", "b"): 3, ("b", "a"): 3}) == make_system("ab", {("b", "a"): 3})
 
 
 def test_cosine_matrix_values():
