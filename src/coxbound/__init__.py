@@ -3,7 +3,7 @@ groups, with Davis-complex balls, tessellation rendering, and exact
 Sierpinski-carpet star embeddings."""
 
 from .carpet import (CarpetApprox, CarpetStar, HoledDisk, K5Scaffold,
-                     MarkedPoint, RoutingError, Square, StarEmbedding,
+                     MarkedPoint, RoutingError, StarEmbedding,
                      build_carpet_approx, build_k5_scaffold, carpet_svg,
                      embed_star_in_carpet, excluded_t_values,
                      null_family_check, scaffold_svg, scaffold_to_json,
@@ -12,7 +12,7 @@ from .carpet import (CarpetApprox, CarpetStar, HoledDisk, K5Scaffold,
                      verify_star_disjointness, verify_star_in_carpet)
 from .classify import (BoundaryClass, ClassificationReport, classify_boundary,
                        euclidean_triple_scan, isolated_flats_check,
-                       report_to_dict, report_to_json, serre_fa_criterion)
+                       report_to_json, serre_fa_criterion)
 from .davis import (DavisBall, LinkGraph, build_davis_ball, ball_to_json,
                     euler_characteristic, link_matches_nerve,
                     tessellation_svg, tessellation_triangles, vertex_link)

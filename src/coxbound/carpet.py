@@ -4,17 +4,17 @@ K5 scaffold.
 All geometry is exact.  The carpet is the standard middle-ninth model in the
 unit square; the removed open squares are the peripheral Jordan-region
 approximants (the outer boundary counts as one more peripheral circle).  A
-level-L carpet is held as its level and read on the 3^L x 3^L cell grid: the
-removed squares are integer cells (x, y, side) in units of 3^-L, and the
-`Fraction` squares are built only when `kept` or `removed` is read.  The
-star-embedding router works on the corridor graph of kept cells, held as
+level-L carpet is held as its level and read on the 3^L x 3^L cell grid:
+every square of it, kept, removed, marked or the outer boundary, is an
+integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
+The star-embedding router works on the corridor graph of kept cells, held as
 integer node ids and adjacency lists; its flow routine, `node_disjoint_paths`,
 is a port of networkx's node-split Edmonds-Karp to those arrays and returns
 exactly the paths networkx returns (networkx stays its oracle in the tests).
 A verifier that shares no code with the router re-checks every output with
 the exact segment predicates, on the star's points scaled to integers and
 the removed squares it looks up from the cell grid.  The drawings read the
-integer cells too.
+cells too.
 """
 
 from __future__ import annotations
@@ -36,62 +36,27 @@ F0, F1 = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
-class Square:
-    """Axis-aligned square [x, x+side] x [y, y+side]."""
-    x: Fraction
-    y: Fraction
-    side: Fraction
-
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        x, y, s = self.x, self.y, self.side
-        return ((x, y), (x + s, y), (x + s, y + s), (x, y + s))
-
-    def contains_open(self, p: Point) -> bool:
-        return self.x < p[0] < self.x + self.side and self.y < p[1] < self.y + self.side
-
-    def on_boundary(self, p: Point) -> bool:
-        x, y, s = self.x, self.y, self.side
-        if not (x <= p[0] <= x + s and y <= p[1] <= y + s):
-            return False
-        return p[0] == x or p[0] == x + s or p[1] == y or p[1] == y + s
-
-    def edge_midpoint(self, direction: str) -> Point:
-        x, y, s = self.x, self.y, self.side
-        h = s / 2
-        return {"left": (x, y + h), "right": (x + s, y + h),
-                "bottom": (x + h, y), "top": (x + h, y + s)}[direction]
-
-    def diameter_squared(self) -> Fraction:
-        return 2 * self.side * self.side
-
-
-@dataclass(frozen=True)
 class CarpetApprox:
-    """The level-`level` middle-ninth carpet; its squares are built on first
-    read, and the integer cells and `_cell_kept` answer everything else."""
+    """The level-`level` middle-ninth carpet, held as its level.  Its squares
+    are integer cells (x, y, side) in units of 3^-level; each table below is
+    computed from the level when first read."""
     level: int
 
     @cached_property
-    def kept(self) -> tuple[Square, ...]:   # 8^level squares of side 3^-level
-        return _squares(_carpet_cells(self.level, removed=False), self.level)
+    def kept(self) -> tuple[tuple[int, int, int], ...]:   # 8^level cells of side 1
+        return tuple(_carpet_cells(self.level, removed=False))
 
     @cached_property
-    def removed(self) -> tuple[Square, ...]:   # cumulative, all scales
-        return _squares(self.holes, self.level)
-
-    @cached_property
-    def holes(self) -> tuple[tuple[int, int, int], ...]:
-        """The removed squares as integer cells (x, y, side) in units of
-        3^-level, in the order of `removed`."""
+    def removed(self) -> tuple[tuple[int, int, int], ...]:   # cumulative, all scales
         return tuple(_carpet_cells(self.level, removed=True))
 
     @cached_property
     def hole_at(self) -> list[int]:
         """For each cell (i, j) of the 3^level grid, at i * 3^level + j, the
-        index in `holes` of the removed square that covers it, or -1."""
+        index in `removed` of the removed square that covers it, or -1."""
         n = 3 ** self.level
         table = [-1] * (n * n)
-        for k, (x, y, side) in enumerate(self.holes):
+        for k, (x, y, side) in enumerate(self.removed):
             for i in range(x, x + side):
                 table[i * n + y:i * n + y + side] = [k] * side
         return table
@@ -124,8 +89,6 @@ class CarpetApprox:
             abs(2 * cells[k][0] + 1 - n) + abs(2 * cells[k][1] + 1 - n), k))
         return cells, index, residual_network(adjacency), by_center
 
-OUTER = Square(F0, F0, F1)
-
 
 def _carpet_cells(level: int, removed: bool) -> list[tuple[int, int, int]]:
     """The kept or the removed squares of the level-`level` carpet as integer
@@ -146,14 +109,6 @@ def _carpet_cells(level: int, removed: bool) -> list[tuple[int, int, int]]:
             (x + t, y), (x + t, y + s), (x + t, y + t))]
         side = s
     return holes if removed else [(x, y, side) for x, y in kept]
-
-
-def _squares(cells, level: int) -> tuple[Square, ...]:
-    """The integer cells as Squares, through one shared table of the
-    coordinates k / 3^level."""
-    n = 3 ** level
-    coord = [Fraction(k, n) for k in range(n + 1)]
-    return tuple(Square(coord[x], coord[y], coord[s]) for x, y, s in cells)
 
 
 def build_carpet_approx(level: int) -> CarpetApprox:
@@ -304,8 +259,9 @@ def select_t_avoiding(points: Sequence[Point]) -> tuple[Fraction, dict[Point, tu
 
 @dataclass(frozen=True)
 class MarkedPoint:
-    """A point on the boundary of a peripheral square (or the outer boundary)."""
-    square: Square      # one of carpet.removed, or OUTER
+    """A point on the boundary of a peripheral square of its carpet: a cell of
+    `removed`, or the outer boundary (0, 0, 3^level), in units of 3^-level."""
+    cell: tuple[int, int, int]
     point: Point
 
 
@@ -333,23 +289,15 @@ def _cell_kept(i: int, j: int, level: int) -> bool:
     return True
 
 
-def _is_peripheral(sq: Square, level: int) -> bool:
-    """True iff `sq` is OUTER or a removed square of the level-`level` carpet:
-    a square of side 3^-k, 1 <= k <= level, with corner 3^-k (3i + 1, 3j + 1)
-    for a kept cell (i, j) of the level-(k - 1) grid."""
-    if sq == OUTER:
+def _is_peripheral_cell(carpet: CarpetApprox, cell: tuple[int, int, int]) -> bool:
+    """True iff `cell` is the outer boundary or a removed square of `carpet`:
+    the removed square covering its corner cell, if any, is the cell itself."""
+    x, y, _ = cell
+    n = 3 ** carpet.level
+    if cell == (0, 0, n):
         return True
-    x, y, side = (Fraction(v) for v in (sq.x, sq.y, sq.side))
-    n = side.denominator
-    k = next((k for k in range(1, level + 1) if 3 ** k == n), 0)
-    if side.numerator != 1 or not k:
-        return False
-    i, j = x * n, y * n
-    if i.denominator != 1 or j.denominator != 1:
-        return False
-    i, j = i.numerator, j.numerator
-    return (0 <= i < n and 0 <= j < n and i % 3 == 1 and j % 3 == 1
-            and _cell_kept(i // 3, j // 3, k - 1))
+    k = carpet.hole_at[x * n + y] if 0 <= x < n and 0 <= y < n else -1
+    return k >= 0 and carpet.removed[k] == cell
 
 
 Network = list[list[tuple[int, int]]]
@@ -544,21 +492,24 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     marks = tuple(marks)
     if len(marks) != 4:
         raise ValueError("exactly 4 marked points required")
-    if len({m.square for m in marks}) != 4:
+    if len({m.cell for m in marks}) != 4:
         raise ValueError("marked points must lie on 4 distinct peripheral boundaries")
     if len({m.point for m in marks}) != 4:
         raise ValueError("marked points must be distinct")
-    for m in marks:
-        if not _is_peripheral(m.square, carpet.level):
-            raise ValueError(f"{m.square} is not a peripheral square of this carpet")
-        if not m.square.on_boundary(m.point):
-            raise ValueError(f"{m.point} not on the boundary of its square")
     level = carpet.level
+    n = 3 ** level
+    for m in marks:
+        if not _is_peripheral_cell(carpet, m.cell):
+            raise ValueError(f"cell {m.cell} is not a peripheral square of this carpet")
+        x, y, side = m.cell
+        px, py = m.point[0] * n, m.point[1] * n
+        if not (x <= px <= x + side and y <= py <= y + side
+                and (px in (x, x + side) or py in (y, y + side))):
+            raise ValueError(f"{m.point} not on the boundary of its square")
     entries = [_entry_cell(m.point, level) for m in marks]
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
-    n = 3 ** level
     cells, index, network, by_center = carpet.corridors
     entry_ids = [index[i * n + j] for i, j in entries]
     # the corridor graph: the kept cells, then a sink joined to every entry cell
@@ -590,10 +541,10 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     disjointness away from the center, removed-square avoidance, and that
     peripheral boundaries are touched only at the marked points.
 
-    Every leg point and mark is scaled to integers once, by the lcm of
-    3^level and their denominators, so that the corners of the removed
-    squares are integers too and every predicate runs on integers.  An exact
-    bounding-box test runs in front of every segment_common call, and a
+    Every leg point is scaled to integers once, by the lcm of 3^level and
+    their denominators, so that the corners of the removed squares, cells of
+    the 3^level grid, are integers too and every predicate runs on integers.
+    An exact bounding-box test runs in front of every segment_common call, and a
     segment meets segment_in_box only for the removed squares that cover a
     grid cell its closed box touches (`hole_at`): closed sets whose closed
     boxes are disjoint are disjoint, and a closed removed square is the union
@@ -605,9 +556,7 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
         if leg[0] != star.center or leg[-1] != mark.point:
             return False
     n = 3 ** carpet.level
-    mark_squares = [(m.square.x, m.square.y, m.square.side) for m in star.marks]
-    scale = math.lcm(n, *(c.denominator for leg in star.legs for p in leg for c in p),
-                     *(c.denominator for sq in mark_squares for c in sq))
+    scale = math.lcm(n, *(c.denominator for leg in star.legs for p in leg for c in p))
     unit = scale // n                   # the side of one grid cell
 
     def scaled(c) -> int:
@@ -622,26 +571,26 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
                                            leg_boxes[a], leg_boxes[b]):
                 return False
     # peripheral avoidance
-    holes, hole_at = carpet.holes, carpet.hole_at
-    for leg, boxes, sq in zip(legs, leg_boxes, mark_squares):
-        own, point = tuple(map(scaled, sq)), leg[-1]
+    removed, hole_at = carpet.removed, carpet.hole_at
+    for leg, boxes, mark in zip(legs, leg_boxes, star.marks):
+        point, outer = leg[-1], mark.cell == (0, 0, n)
         for p, q, box in zip(leg[:-1], leg[1:], boxes):
             for k in _holes_meeting(box, unit, n, hole_at):
-                x, y, side = (v * unit for v in holes[k])
+                x, y, side = (v * unit for v in removed[k])
                 hit = segment_in_box(p, q, x, y, x + side, y + side)
                 if hit is None:
                     continue
                 t0, t1 = hit
                 if t0 != t1:
                     return False
-                if not ((x, y, side) == own and lerp(p, q, t0) == point):
+                if not (removed[k] == mark.cell and lerp(p, q, t0) == point):
                     return False
             # outer boundary: stay inside, touch only at an outer marked point
             for pt in (p, q):
                 if not (0 <= pt[0] <= scale and 0 <= pt[1] <= scale):
                     return False
                 if (pt[0] in (0, scale) or pt[1] in (0, scale)) and not (
-                        own == (0, 0, scale) and pt == point):
+                        outer and pt == point):
                     return False
     return True
 
@@ -705,11 +654,9 @@ class K5Scaffold:
 
 
 # the level-1 center square, then of the eight level-2 squares in (x, y) order
-# the first, the last and the fourth: the squares every scaffold marks
-_MARK_SQUARES = (Square(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-                 Square(Fraction(1, 9), Fraction(1, 9), Fraction(1, 9)),
-                 Square(Fraction(7, 9), Fraction(7, 9), Fraction(1, 9)),
-                 Square(Fraction(4, 9), Fraction(1, 9), Fraction(1, 9)))
+# the first, the last and the fourth: the squares every scaffold marks, as
+# cells of the level-2 grid
+_MARK_CELLS = ((3, 3, 3), (1, 1, 1), (7, 7, 1), (4, 1, 1))
 
 
 def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint]:
@@ -721,22 +668,22 @@ def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint
     directions = ["left", "bottom", "top", "right"]
     if rng is not None:
         directions = [rng.choice(["left", "right", "top", "bottom"]) for _ in range(4)]
+    k = 3 ** (carpet.level - 2)
     marks = []
-    for sq, d in zip(_MARK_SQUARES, directions):
-        marks.append(MarkedPoint(sq, _cell_edge_midpoint(sq, d, carpet.level)))
+    for cell, d in zip(_MARK_CELLS, directions):
+        cell = tuple(v * k for v in cell)
+        marks.append(MarkedPoint(cell, _cell_edge_midpoint(cell, d, carpet.level)))
     return marks
 
 
-def _cell_edge_midpoint(sq: Square, direction: str, level: int) -> Point:
-    """Midpoint of one grid-cell edge on the chosen side of the square (keeps
-    marked points off cell corners at the carpet's resolution)."""
+def _cell_edge_midpoint(cell: tuple[int, int, int], direction: str, level: int) -> Point:
+    """Midpoint of the first grid-cell edge on the chosen side of the square
+    `cell` (keeps marked points off cell corners at the carpet's resolution)."""
     n = 3 ** level
-    cell = Fraction(1, n)
+    x, y, side = cell
     if direction in ("left", "right"):
-        x = sq.x if direction == "left" else sq.x + sq.side
-        return (x, sq.y + cell / 2)
-    y = sq.y if direction == "bottom" else sq.y + sq.side
-    return (sq.x + cell / 2, y)
+        return (Fraction(x if direction == "left" else x + side, n), Fraction(2 * y + 1, 2 * n))
+    return (Fraction(2 * x + 1, 2 * n), Fraction(y if direction == "bottom" else y + side, n))
 
 
 def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
@@ -811,7 +758,7 @@ def carpet_svg(c: CarpetApprox) -> str:
     size = 600.0
     n = 3 ** c.level
     body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>']
-    for x, y, s in c.holes:
+    for x, y, s in c.removed:
         # x / n rounds correctly, so it is float(Fraction(x, n))
         x, y, s = x / n * size, y / n * size, s / n * size
         body.append(f'<rect x="{x:.3f}" y="{size - y - s:.3f}" width="{s:.3f}" '
@@ -840,7 +787,7 @@ def scaffold_svg(s: K5Scaffold) -> str:
         body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
                     'fill="#e8e0d0" stroke="#555"/>')
         n = 3 ** c.level
-        for x, y, side in c.holes:
+        for x, y, side in c.removed:
             x, y, side = x / n * cs, y / n * cs, side / n * cs
             body.append(f'<rect x="{ox + x:.2f}" y="{oy + cs - y - side:.2f}" width="{side:.2f}" '
                         f'height="{side:.2f}" fill="#ffffff" stroke="#aaa" stroke-width="0.4"/>')

@@ -125,30 +125,13 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     return report(BoundaryClass(MENGER_CURVE))
 
 
-def report_to_dict(r: ClassificationReport) -> dict:
-    """JSON-stable view: fixed field names, deterministic ordering."""
-    return {
-        "system": {
-            "generators": list(r.system.generators),
-            "labels": [
-                [s, t, "inf" if r.system.m(s, t) == INF else int(r.system.m(s, t))]
-                for s, t in r.system.pairs()
-            ],
-        },
-        "n": r.n,
-        "boundary": str(r.boundary),
-        "serre_fa": r.serre_fa,
-        "euclidean_triples": [list(t) for t, tt in r.triangle_census if tt.kind == EUCLIDEAN],
-        "hyperbolic": r.hyperbolic,
-        "isolated_flats": r.isolated_flats,
-        "citations": list(r.citations),
-    }
-
-
 def report_to_json(r: ClassificationReport) -> str:
-    """The report exactly as `json.dumps(report_to_dict(r), indent=2)` writes
-    it.  Written directly for the fixed schema, because the general encoder's
-    pure-Python indenting path cost more than the classification itself."""
+    """The report as `json.dumps(..., indent=2)` writes its JSON-stable view:
+    the system's generators and its labels [s, t, m] for every pair s before
+    t, m an int or "inf"; then n, boundary, serre_fa, the Euclidean triples,
+    hyperbolic, isolated_flats and the citations, in that order.  Written
+    directly for the fixed schema, because the general encoder's pure-Python
+    indenting path cost more than the classification itself."""
     sysm = r.system
     quoted = {g: json.dumps(g) for g in sysm.generators}
     names = list(quoted.values())

@@ -65,7 +65,8 @@ class CoxeterSystem:
             i, j = position.get(s), position.get(t)
             if i is None or j is None:
                 raise PresentationError(f"unknown generator in pair ({s},{t})")
-            if m != INF and (int(m) != m or m < 2):
+            # the range test first: int() fails on NaN and on -inf
+            if m != INF and not (m >= 2 and int(m) == m):
                 raise PresentationError(f"label m({s},{t}) = {m} out of range (>= 2 or inf)")
             back = given.get((t, s), m)
             if back != m:

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -6,18 +8,68 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coxbound.carpet import (HOLED_DISK, OUTER, CarpetStar, MarkedPoint,
-                             RoutingError, Square, StarEmbedding, _cell_kept,
-                             _default_mark_assignment, _entry_cell,
-                             _is_peripheral, build_carpet_approx,
+import coxbound
+from coxbound import carpet
+from coxbound.carpet import (HOLED_DISK, CarpetApprox, CarpetStar, MarkedPoint,
+                             RoutingError, StarEmbedding, _cell_edge_midpoint,
+                             _cell_kept, _default_mark_assignment, _entry_cell,
+                             _is_peripheral_cell, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
                              scaffold_to_json, select_t_avoiding,
                              star_family_point, verify_k5_graph,
                              verify_leg_family_disjointness,
                              verify_star_disjointness, verify_star_in_carpet)
-from coxbound.geometry import (DISJOINT, OVERLAP, POINT, dist2, lerp,
+from coxbound.geometry import (DISJOINT, OVERLAP, POINT, Point, dist2, lerp,
                                segment_common, segment_in_box)
+
+
+@dataclass(frozen=True)
+class Square:
+    """Axis-aligned square [x, x+side] x [y, y+side] in exact coordinates:
+    the `Fraction` model of the carpet that the oracles below are written in."""
+    x: F
+    y: F
+    side: F
+
+    def corners(self) -> tuple[Point, Point, Point, Point]:
+        x, y, s = self.x, self.y, self.side
+        return ((x, y), (x + s, y), (x + s, y + s), (x, y + s))
+
+    def contains_open(self, p: Point) -> bool:
+        return self.x < p[0] < self.x + self.side and self.y < p[1] < self.y + self.side
+
+    def on_boundary(self, p: Point) -> bool:
+        x, y, s = self.x, self.y, self.side
+        if not (x <= p[0] <= x + s and y <= p[1] <= y + s):
+            return False
+        return p[0] == x or p[0] == x + s or p[1] == y or p[1] == y + s
+
+    def edge_midpoint(self, direction: str) -> Point:
+        x, y, s = self.x, self.y, self.side
+        h = s / 2
+        return {"left": (x, y + h), "right": (x + s, y + h),
+                "bottom": (x + h, y), "top": (x + h, y + s)}[direction]
+
+    def diameter_squared(self) -> F:
+        return 2 * self.side * self.side
+
+
+OUTER = Square(F(0), F(0), F(1))
+
+
+def _square(cell, level):
+    """The integer cell (x, y, side), in units of 3^-level, as a Square."""
+    n = 3 ** level
+    return Square(*(F(v, n) for v in cell))
+
+
+def test_library_has_no_square_model():
+    """Integer cells are the carpet's only representation: the package has
+    no Square or OUTER, and a carpet no `holes` beside `removed`."""
+    for module in (coxbound, carpet):
+        assert not hasattr(module, "Square") and not hasattr(module, "OUTER")
+    assert not hasattr(CarpetApprox, "holes")
 
 
 def test_carpet_counts():
@@ -25,104 +77,143 @@ def test_carpet_counts():
         c = build_carpet_approx(k)
         assert len(c.kept) == 8 ** k
         assert len(c.removed) == (8 ** k - 1) // 7
-        assert all(sq.side == F(1, 3 ** k) for sq in c.kept)
+        assert all(side == 1 for _, _, side in c.kept)
 
 
+@lru_cache(maxsize=None)
 def _reference_carpet(level):
     """Kept and removed squares of the middle-ninth carpet, by recursion on
     the level with Fraction arithmetic on every coordinate."""
     if level == 0:
-        return [OUTER], []
+        return (OUTER,), ()
     kept, removed = _reference_carpet(level - 1)
-    nxt = []
+    nxt, removed = [], list(removed)
     for sq in kept:
         s = sq.side / 3
         for i in range(3):
             for j in range(3):
                 sub = Square(sq.x + i * s, sq.y + j * s, s)
                 (removed if i == j == 1 else nxt).append(sub)
-    return nxt, removed
+    return tuple(nxt), tuple(removed)
 
 
 def test_carpet_matches_reference_order():
-    """kept and removed equal the reference subdivision element by element,
-    in order (the SVG and JSON emit squares in this order)."""
+    """kept and removed, integer cells, equal the reference subdivision
+    element by element, in order (the SVG and JSON emit squares in this
+    order)."""
     for level in range(5):
         c = build_carpet_approx(level)
         kept, removed = _reference_carpet(level)
-        assert list(c.kept) == kept
-        assert list(c.removed) == removed
-        assert all(isinstance(v, F) for sq in c.kept + c.removed
-                   for v in (sq.x, sq.y, sq.side))
+        assert [_square(cell, level) for cell in c.kept] == list(kept)
+        assert [_square(cell, level) for cell in c.removed] == list(removed)
+        assert all(type(v) is int for cell in c.kept + c.removed for v in cell)
 
 
 def test_carpet_self_similarity():
-    """Level k+1 kept squares are exactly the 8 scaled translates of level k."""
-    c1 = build_carpet_approx(1)
-    c2 = build_carpet_approx(2)
-    level1_cells = {(sq.x, sq.y) for sq in c1.kept}
-    expected = set()
-    for ox, oy in level1_cells:
-        for ix, iy in level1_cells:
-            expected.add((ox + ix / 3, oy + iy / 3))
-    assert {(sq.x, sq.y) for sq in c2.kept} == expected
+    """Level k+1 kept cells are exactly the 8 scaled translates of level k."""
+    level1_cells = {(x, y) for x, y, _ in build_carpet_approx(1).kept}
+    expected = {(3 * ox + ix, 3 * oy + iy)
+                for ox, oy in level1_cells for ix, iy in level1_cells}
+    assert {(x, y) for x, y, _ in build_carpet_approx(2).kept} == expected
 
 
 def test_hole_table_matches_removed_squares():
-    """`holes` lists the removed squares as integer cells, and `hole_at`
-    marks exactly the cells that are not kept, each with the removed square
-    whose interior holds the cell's center."""
+    """`hole_at` marks exactly the cells that are not kept, each with the
+    removed square whose interior holds the cell's center."""
     for level in range(5):
         c = build_carpet_approx(level)
         n = 3 ** level
-        assert [Square(F(x, n), F(y, n), F(s, n)) for x, y, s in c.holes] == list(c.removed)
         for i in range(n):
             for j in range(n):
                 k = c.hole_at[i * n + j]
                 assert (k == -1) == _cell_kept(i, j, level)
                 if k != -1:
-                    assert c.removed[k].contains_open((F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)))
+                    assert _square(c.removed[k], level).contains_open(
+                        (F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)))
 
 
 @lru_cache(maxsize=None)
 def _peripheral_squares(level):
-    return set(build_carpet_approx(level).removed) | {OUTER}
+    return set(_reference_carpet(level)[1]) | {OUTER}
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_peripheral_rule_matches_removed_squares(data):
-    """The cell-grid rule that embed_star_in_carpet checks marks with agrees
-    with membership in the removed squares plus OUTER: on removed squares,
-    kept and off-grid cells of every scale, and squares of the wrong side."""
+    """The `hole_at` lookup that embed_star_in_carpet checks mark cells with
+    agrees with membership in the reference removed squares plus the unit
+    square: on removed cells, on aligned cells of every scale (kept, removed
+    and out of range), and on off-grid cells, cells of side 0 and cells of
+    the wrong side."""
     level = data.draw(st.integers(0, 5), label="level")
-    how = data.draw(st.sampled_from(["removed", "cell", "any"]), label="how")
+    n = 3 ** level
+    how = data.draw(st.sampled_from(["removed", "scale", "any"]), label="how")
     if how == "removed" and level:
-        sq = data.draw(st.sampled_from(build_carpet_approx(level).removed), label="square")
-    elif how == "cell":
-        k = data.draw(st.integers(0, level + 1), label="scale")
-        n = 3 ** k
-        i, j = (data.draw(st.integers(-2, n + 1)) for _ in range(2))
-        sq = Square(F(i, n), F(j, n), F(1, n))
+        cell = data.draw(st.sampled_from(build_carpet_approx(level).removed), label="cell")
+    elif how == "scale":
+        side = 3 ** data.draw(st.integers(0, level), label="scale")
+        i, j = (data.draw(st.integers(-2, n // side + 1)) for _ in range(2))
+        cell = (i * side, j * side, side)
     else:
-        den = st.sampled_from([1, 2, 3, 9, 27, 81, 243, 729])
-        x, y = (F(data.draw(st.integers(-3, 800)), data.draw(den)) for _ in range(2))
-        side = data.draw(st.one_of(st.builds(F, st.integers(1, 3), den),
-                                   st.sampled_from([0, 1, 2, F(1, 2)])), label="side")
-        sq = Square(x, y, side)
-    assert _is_peripheral(sq, level) == (sq in _peripheral_squares(level))
+        x, y = (data.draw(st.integers(-3, n + 3)) for _ in range(2))
+        side = data.draw(st.sampled_from([0, 1, 2, 3, 4, 9, 27, n, n + 1, -1]), label="side")
+        cell = (x, y, side)
+    assert _is_peripheral_cell(build_carpet_approx(level), cell) == (
+        _square(cell, level) in _peripheral_squares(level))
 
 
 def test_embed_rejects_marks_off_peripheral_squares():
+    """Each invalid mark is refused with its message."""
     c = build_carpet_approx(2)
     marks = _default_mark_assignment(c, None)
-    kept = Square(F(0), F(0), F(1, 9))
-    bad = [MarkedPoint(kept, (F(1, 18), F(1, 9)))] + marks[1:]
-    with pytest.raises(ValueError, match="is not a peripheral square of this carpet"):
-        embed_star_in_carpet(c, bad)
-    off = [MarkedPoint(marks[0].square, (F(1, 2), F(1, 2)))] + marks[1:]
-    with pytest.raises(ValueError, match="not on the boundary of its square"):
-        embed_star_in_carpet(c, off)
+    cases = [
+        (marks[:3], ValueError, "exactly 4 marked points required"),
+        ([MarkedPoint(marks[1].cell, marks[0].point)] + marks[1:], ValueError,
+         "marked points must lie on 4 distinct peripheral boundaries"),
+        ([MarkedPoint(marks[0].cell, marks[1].point)] + marks[1:], ValueError,
+         "marked points must be distinct"),
+        ([MarkedPoint((0, 0, 1), (F(1, 18), F(1, 9)))] + marks[1:], ValueError,
+         "cell (0, 0, 1) is not a peripheral square of this carpet"),
+        ([MarkedPoint((1, 1, 3), (F(1, 9), F(1, 6)))] + marks[1:], ValueError,
+         "cell (1, 1, 3) is not a peripheral square of this carpet"),
+        ([MarkedPoint(marks[0].cell, (F(1, 2), F(1, 2)))] + marks[1:], ValueError,
+         f"{(F(1, 2), F(1, 2))} not on the boundary of its square"),
+        ([MarkedPoint(marks[0].cell, (F(1, 3), F(7, 9)))] + marks[1:], ValueError,
+         f"{(F(1, 3), F(7, 9))} not on the boundary of its square"),
+        ([MarkedPoint(marks[0].cell, (F(1, 3), F(4, 9)))] + marks[1:], ValueError,
+         f"marked point {(F(1, 3), F(4, 9))} sits on a cell corner; move it"),
+        # cell (4, 2) lies between the center square and the square (4, 1, 1)
+        ([MarkedPoint(marks[0].cell, (F(1, 2), F(1, 3)))] + marks[1:3]
+         + [MarkedPoint(marks[3].cell, (F(1, 2), F(2, 9)))], RoutingError,
+         "two marked points enter through the same cell"),
+    ]
+    for bad, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            embed_star_in_carpet(c, bad)
+    # the outer boundary is the cell (0, 0, 3^level)
+    outer = [MarkedPoint((0, 0, 9), (F(1, 18), F(0)))] + marks[1:]
+    assert verify_star_in_carpet(c, embed_star_in_carpet(c, outer))
+
+
+# the squares every scaffold marks, as the `Fraction` squares they were drawn as
+_MARK_SQUARES = [Square(F(1, 3), F(1, 3), F(1, 3)), Square(F(1, 9), F(1, 9), F(1, 9)),
+                 Square(F(7, 9), F(7, 9), F(1, 9)), Square(F(4, 9), F(1, 9), F(1, 9))]
+
+
+def test_mark_cells_and_midpoints_match_fraction_squares():
+    """At levels 2-6 the mark cells are the scaffold's `Fraction` squares, and
+    `_cell_edge_midpoint` on them gives, in all four directions, the midpoint
+    of the first cell edge on that side of the square."""
+    for level in range(2, 7):
+        h = F(1, 2 * 3 ** level)
+        marks = _default_mark_assignment(build_carpet_approx(level), None)
+        assert [_square(m.cell, level) for m in marks] == _MARK_SQUARES
+        for m in marks:
+            sq = _square(m.cell, level)
+            for d in ("left", "right", "bottom", "top"):
+                x, y = sq.edge_midpoint(d)
+                expected = (x, sq.y + h) if d in ("left", "right") else (sq.x + h, y)
+                assert _cell_edge_midpoint(m.cell, d, level) == expected
 
 
 def test_null_family_check():
@@ -133,15 +224,18 @@ def test_null_family_check():
     assert null_family_check(c, F(1, 100)) > 1
     with pytest.raises(ValueError):
         null_family_check(c, F(0))
-    # the per-scale count against a scan of the removed squares, with epsilon
+    # the per-scale count against a scan of the removed cells, with epsilon
     # just below and just above each scale's diameter sqrt(2)/3^k
-    # (1.4142^2 < 2 < 1.4143^2), and beyond the scales at both ends
+    # (1.4142^2 < 2 < 1.4143^2), and beyond the scales at both ends; a cell of
+    # side s has diameter^2 2 s^2 / 9^level, which exceeds (p/q)^2 iff
+    # 2 s^2 q^2 > p^2 9^level
     epsilons = [F(r, 10000) / 3 ** k for k in range(1, 8) for r in (14142, 14143)]
     epsilons += [F(1, 10 ** 6), F(2)]
     for level in range(7):
         c = build_carpet_approx(level)
         for eps in epsilons:
-            brute = sum(1 for sq in c.removed if sq.diameter_squared() > eps * eps)
+            q2, bound = eps.denominator ** 2, eps.numerator ** 2 * 9 ** level
+            brute = sum(1 for _, _, side in c.removed if 2 * side * side * q2 > bound)
             assert null_family_check(c, eps) == brute, (level, eps)
 
 
@@ -163,8 +257,7 @@ def test_square_helpers():
 def test_entry_cell_on_peripheral_boundary(data):
     level = data.draw(st.integers(2, 4), label="level")
     n = 3 ** level
-    removed = build_carpet_approx(level).removed
-    sq = data.draw(st.sampled_from(removed + (OUTER,)), label="square")
+    sq = data.draw(st.sampled_from(_reference_carpet(level)[1] + (OUTER,)), label="square")
     cells = int(sq.side * n)            # cell edges along one side of sq
     side = data.draw(st.sampled_from(["left", "right", "bottom", "top"]), label="side")
     k = data.draw(st.integers(0, cells - 1), label="cell edge")
@@ -343,21 +436,23 @@ def _oracle_verify(carpet, star):
                     kind, pt = segment_common(p, q, r, s)
                     if kind == OVERLAP or (kind != DISJOINT and pt != star.center):
                         return False
+    removed = _reference_carpet(carpet.level)[1]
     for leg_segs, mark in zip(segs, star.marks):
+        own = _square(mark.cell, carpet.level)
         for p, q in leg_segs:
-            for sq in carpet.removed:
+            for sq in removed:
                 hit = segment_in_box(p, q, sq.x, sq.y, sq.x + sq.side, sq.y + sq.side)
                 if hit is None:
                     continue
                 if hit[0] != hit[1]:
                     return False
-                if not (sq == mark.square and lerp(p, q, hit[0]) == mark.point):
+                if not (sq == own and lerp(p, q, hit[0]) == mark.point):
                     return False
             for pt in (p, q):
                 if not (0 <= pt[0] <= 1 and 0 <= pt[1] <= 1):
                     return False
                 if (pt[0] in (0, 1) or pt[1] in (0, 1)) and not (
-                        mark.square == OUTER and pt == mark.point):
+                        own == OUTER and pt == mark.point):
                     return False
     return True
 
@@ -399,7 +494,7 @@ def test_verifier_rejects_vertex_in_removed_square(data):
     k = data.draw(st.integers(0, 3), label="leg")
     leg = star.legs[k]
     v = data.draw(st.integers(1, len(leg) - 2), label="vertex")
-    sq = carpet.removed[data.draw(st.integers(0, len(carpet.removed) - 1), label="square")]
+    sq = _square(data.draw(st.sampled_from(carpet.removed), label="cell"), carpet.level)
     inside = (sq.x + sq.side / 2, sq.y + sq.side / 2)
     assert sq.contains_open(inside)
     _check_rejected(carpet, _with_leg(star, k, leg[:v] + (inside,) + leg[v + 1:]))
@@ -430,7 +525,7 @@ def test_verifier_rejects_other_boundary_point_of_marked_square(data):
     carpet, star = pairs[data.draw(st.integers(0, len(pairs) - 1), label="star")]
     k = data.draw(st.integers(0, 3), label="leg")
     leg, mark = star.legs[k], star.marks[k]
-    sq = mark.square
+    sq = _square(mark.cell, carpet.level)
     boundary = [p for p in sq.corners() + tuple(
         sq.edge_midpoint(d) for d in ("left", "right", "bottom", "top"))
         if p != mark.point]

@@ -11,10 +11,32 @@ import coxbound.classify
 import coxbound.nerve
 import coxbound.system
 from coxbound.classify import (classify_boundary, euclidean_triple_scan,
-                               isolated_flats_check, report_to_dict,
-                               report_to_json, serre_fa_criterion)
+                               isolated_flats_check, report_to_json,
+                               serre_fa_criterion)
 from coxbound.nerve import build_nerve
-from coxbound.system import INF, _triangle, complete_graph_system, make_system
+from coxbound.system import (EUCLIDEAN, INF, _triangle, complete_graph_system,
+                             make_system)
+
+
+def report_to_dict(r):
+    """`report_to_json`'s oracle: the JSON-stable view of a report, read
+    through the name-keyed labels, for `json.dumps(..., indent=2)`."""
+    return {
+        "system": {
+            "generators": list(r.system.generators),
+            "labels": [
+                [s, t, "inf" if r.system.m(s, t) == INF else int(r.system.m(s, t))]
+                for s, t in r.system.pairs()
+            ],
+        },
+        "n": r.n,
+        "boundary": str(r.boundary),
+        "serre_fa": r.serre_fa,
+        "euclidean_triples": [list(t) for t, tt in r.triangle_census if tt.kind == EUCLIDEAN],
+        "hyperbolic": r.hyperbolic,
+        "isolated_flats": r.isolated_flats,
+        "citations": list(r.citations),
+    }
 
 
 def test_trichotomy_all3():

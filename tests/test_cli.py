@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from coxbound.carpet import Square, build_carpet_approx
 from coxbound.cli import build_parser, main
 
 
@@ -116,27 +115,6 @@ def test_carpet_command(capsys):
         assert payload["null_family_exceeding_1_5"] == (0 if level == 0 else 1)
     assert main(["carpet", "--level", "2", "--format", "svg"]) == 0
     assert "<svg" in capsys.readouterr().out
-
-
-def test_carpet_and_k5_requests_build_no_square(monkeypatch, tmp_path, capsys):
-    """Carpet drawings, the mark check and the verifier read the integer cell
-    grid: no request of `carpet` or `k5` constructs a Square."""
-    built = []
-    init = Square.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Square, "__init__", counting_init)
-    for argv in (["carpet", "--level", "4", "--format", "svg"],
-                 ["carpet", "--level", "5", "--format", "json"],
-                 ["k5", "--level", "3", "--out", str(tmp_path / "k5")],
-                 ["k5", "--level", "2", "--seed", "4", "--format", "svg"]):
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert built == []
-    assert len(build_carpet_approx(1).removed) == 1 and len(built) == 1
 
 
 def test_k5_command(tmp_path, capsys):

@@ -3,9 +3,8 @@
 The other library modules read labels by generator position (`label_rows`,
 `finite_masks`, `diagram_index` and the finite pairs).  This walks each
 module's syntax tree and fails on any attribute named `orders`, `m` or
-`pairs` outside `system.py`, with one exception: `classify.report_to_dict`
-stays on `m` and `pairs`, because it is the independent oracle that
-`report_to_json` is tested against.
+`pairs` outside `system.py`.  `report_to_json`'s oracle, which reads `m` and
+`pairs`, lives in the tests.
 """
 
 import ast
@@ -14,7 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxbound"
 
 NAME_KEYED = {"orders", "m", "pairs"}
-ALLOWED = {("classify.py", "report_to_dict")}
 
 
 def name_keyed_reads(source: str) -> list[tuple[str, int, str]]:
@@ -40,9 +38,5 @@ def test_name_keyed_reads_detected():
 def test_only_system_reads_labels_by_name():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "system.py")
     assert modules
-    reads = {p.name: found for p in modules
-             if (found := [r for r in name_keyed_reads(p.read_text())
-                           if (p.name, r[0]) not in ALLOWED])}
+    reads = {p.name: found for p in modules if (found := name_keyed_reads(p.read_text()))}
     assert reads == {}
-    # the allowed oracle still reads by name, so the exception is not stale
-    assert name_keyed_reads((SRC / "classify.py").read_text())

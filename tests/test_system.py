@@ -76,6 +76,10 @@ def test_system_construction_errors():
         (("a", "b"), {("a", "c"): 3, ("c", "a"): 3}, "unknown generator in pair (a,c)"),
         (("a", "b"), {("b", "a"): 3, ("a", "c"): 1}, "unknown generator in pair (a,c)"),
         (("a", "b"), {("a", "b"): 1, ("b", "a"): 1}, "label m(a,b) = 1 out of range (>= 2 or inf)"),
+        # the range test runs before int(): NaN and -inf must not escape as
+        # ValueError and OverflowError
+        *((("a", "b"), {("a", "b"): m}, f"label m(a,b) = {m} out of range (>= 2 or inf)")
+          for m in (float("nan"), -INF, 2.5, 0)),
         (("a", "b"), {("a", "b"): 3, ("b", "a"): 4}, "asymmetric labels for pair (a,b)"),
         (("a", "b", "c"), {("b", "c"): 3, ("c", "b"): 3, ("a", "b"): 5, ("b", "a"): 3},
          "asymmetric labels for pair (a,b)"),
