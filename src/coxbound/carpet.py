@@ -537,9 +537,11 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
 def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     """Independent exact verifier for embed_star_in_carpet outputs.
 
-    Shares no code with the router: checks each leg endpoint, pairwise
-    disjointness away from the center, removed-square avoidance, and that
-    peripheral boundaries are touched only at the marked points.
+    Shares no code with the router: checks each leg endpoint, that the four
+    marks are distinct peripheral squares (removed squares or the outer
+    square) with each point on its square's boundary, pairwise disjointness
+    away from the center, removed-square avoidance, and that peripheral
+    boundaries are touched only at the marked points.
 
     Every leg point is scaled to integers once, by the lcm of 3^level and
     their denominators, so that the corners of the removed squares, cells of
@@ -563,6 +565,22 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
         return c.numerator * (scale // c.denominator)
 
     legs = [[(scaled(x), scaled(y)) for x, y in leg] for leg in star.legs]
+    removed, hole_at = carpet.removed, carpet.hole_at
+    # the marks: four distinct peripheral squares (removed squares or the
+    # outer square), each point on the boundary of its square
+    if len({mark.cell for mark in star.marks}) != 4:
+        return False
+    for leg, mark in zip(legs, star.marks):
+        x, y, side = mark.cell
+        if mark.cell != (0, 0, n):
+            k = hole_at[x * n + y] if 0 <= x < n and 0 <= y < n else -1
+            if k < 0 or removed[k] != mark.cell:
+                return False
+        x, y, side = x * unit, y * unit, side * unit
+        px, py = leg[-1]
+        if not (x <= px <= x + side and y <= py <= y + side
+                and (px in (x, x + side) or py in (y, y + side))):
+            return False
     leg_boxes = [[_box(p, q) for p, q in zip(leg[:-1], leg[1:])] for leg in legs]
     # pairwise disjointness except at the shared center
     for a in range(4):
@@ -571,7 +589,6 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
                                            leg_boxes[a], leg_boxes[b]):
                 return False
     # peripheral avoidance
-    removed, hole_at = carpet.removed, carpet.hole_at
     for leg, boxes, mark in zip(legs, leg_boxes, star.marks):
         point, outer = leg[-1], mark.cell == (0, 0, n)
         for p, q, box in zip(leg[:-1], leg[1:], boxes):

@@ -12,8 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve
-from .system import EUCLIDEAN, INF, CoxeterSystem, TriangleType, is_finite_type
+from .nerve import NerveComplex, is_complete_1d_nerve
+from .system import (EUCLIDEAN, HYPERBOLIC, INF, CoxeterSystem, TriangleType,
+                     is_finite_type)
 
 CIRCLE = "Circle"
 SIERPINSKI_CARPET = "SierpinskiCarpet"
@@ -40,8 +41,14 @@ class ClassificationReport:
     has_euclidean_triple: bool
     hyperbolic: bool
     isolated_flats: bool
-    triangle_census: tuple[tuple[tuple[str, str, str], TriangleType], ...]
+    euclidean_triples: tuple[tuple[str, str, str], ...]
     citations: tuple[str, ...]
+
+    @property
+    def triangle_census(self) -> tuple[tuple[tuple[str, str, str], TriangleType], ...]:
+        """(triple, type) for every 3-subset, in `combinations` order: the
+        system's census, which classification does not build; read on demand."""
+        return tuple(self.system.triangle_census.items())
 
 
 def serre_fa_criterion(sys: CoxeterSystem) -> bool:
@@ -52,8 +59,11 @@ def serre_fa_criterion(sys: CoxeterSystem) -> bool:
 
 
 def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
-    """All 3-subsets whose reciprocal label sum is exactly 1 (flat sources)."""
-    return [trip for trip, tt in sys.triangle_census.items() if tt.kind == EUCLIDEAN]
+    """All 3-subsets whose reciprocal label sum is exactly 1 (flat sources),
+    in `combinations` order, read from the system's non-hyperbolic triples."""
+    gens = sys.generators
+    return [(gens[i], gens[j], gens[k])
+            for i, j, k, tt in sys.non_hyperbolic_triples if tt.kind == EUCLIDEAN]
 
 
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
@@ -77,37 +87,55 @@ def _isolated_flats(sys: CoxeterSystem) -> bool:
 
 
 def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
-    """Three-way visual-boundary verdict with audit trail."""
+    """Three-way visual-boundary verdict with audit trail.
+
+    Builds neither the triangle census nor the nerve.  Every triple that is
+    not hyperbolic has a label 2 or is (3, 3, 3), and the system finds those
+    from its label-2 and label-3 masks (`non_hyperbolic_triples`); a finite
+    group needs no search, since every triple of it is spherical.  The
+    triples give the Euclidean triples and whether some triple is spherical;
+    with the finite-label masks that fixes the nerve as `build_nerve(sys, 2)`
+    would build it: complete and 1-dimensional iff every label is finite (the
+    Serre criterion), n >= 2 and no triple is spherical; otherwise of
+    dimension 2 with a spherical triple, 1 with a finite label, else 0.
+    """
     n = sys.rank
+    gens = sys.generators
     citations: list[str] = []
-    census = tuple(sys.triangle_census.items())
     fa = serre_fa_criterion(sys)
-    euclidean = [trip for trip, tt in census if tt.kind == EUCLIDEAN]
+    finite = is_finite_type(sys, gens).finite
+    if finite:
+        euclidean, spherical = (), n >= 3
+    else:
+        triples = sys.non_hyperbolic_triples
+        euclidean = tuple((gens[i], gens[j], gens[k])
+                          for i, j, k, tt in triples if tt.kind == EUCLIDEAN)
+        # the triples that are neither hyperbolic nor Euclidean are spherical
+        spherical = len(euclidean) < len(triples)
     has_euc = bool(euclidean)
     hyperbolic = not has_euc
-
-    nerve = build_nerve(sys, max_dim=2)
-    complete1d, nverts = is_complete_1d_nerve(nerve)
+    complete1d = fa and n >= 2 and not spherical
     flats = _isolated_flats(sys) if complete1d else False
 
     def report(boundary: BoundaryClass) -> ClassificationReport:
         return ClassificationReport(sys, boundary, n, fa, has_euc, hyperbolic,
-                                    flats, census, tuple(citations))
+                                    flats, euclidean, tuple(citations))
 
-    if is_finite_type(sys, sys.generators).finite:
+    if finite:
         citations.append("whole generating set is finite type: finite group, empty or finite boundary")
         return report(BoundaryClass(EMPTY_OR_FINITE))
     if not complete1d:
-        if nerve.dimension != 1:
-            reason = f"nerve dimension {nerve.dimension} != 1"
+        dimension = 2 if spherical else 1 if any(sys.finite_masks) else 0
+        if dimension != 1:
+            reason = f"nerve dimension {dimension} != 1"
         else:
             reason = "nerve not complete (some m_st = inf)"
         citations.append("hypotheses of the complete-graph trichotomy not met: " + reason)
         return report(BoundaryClass(OUT_OF_SCOPE, reason))
 
-    citations.append(f"nerve is the 1-dimensional complete graph K_{nverts}")
-    citations.append("Serre criterion holds: all pairwise products have finite order"
-                     if fa else "Serre criterion fails")
+    citations.append(f"nerve is the 1-dimensional complete graph K_{n}")
+    # a complete nerve has every label finite, so the Serre criterion holds
+    citations.append("Serre criterion holds: all pairwise products have finite order")
     citations.append("isolated flats: complete-graph nerve, no vertex with two label-2 edges")
     if has_euc:
         citations.append(f"{len(euclidean)} Euclidean triple(s) found: flats exist, group not hyperbolic")
@@ -115,7 +143,7 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
         citations.append("no Euclidean triple: no flat sources in the 2-dimensional regime")
 
     if n == 3:
-        kind = census[0][1].kind
+        kind = EUCLIDEAN if has_euc else HYPERBOLIC
         citations.append(f"n=3: infinite triangle group ({kind}): circle boundary")
         return report(BoundaryClass(CIRCLE))
     if n == 4:
@@ -141,8 +169,7 @@ def report_to_json(r: ClassificationReport) -> str:
         for j in range(i + 1, len(row)):
             m = row[j]
             labels.append(_LABEL.format(s, names[j], '"inf"' if m == INF else int(m)))
-    euclidean = [_array([quoted[g] for g in trip], 2)
-                 for trip, tt in r.triangle_census if tt.kind == EUCLIDEAN]
+    euclidean = [_array([quoted[g] for g in trip], 2) for trip in r.euclidean_triples]
     return "\n".join((
         "{",
         '  "system": {',

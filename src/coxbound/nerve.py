@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .system import SPHERICAL, CoxeterSystem, _triangle, is_finite_type
+from .system import SPHERICAL, CoxeterSystem, is_finite_type
 
 # networkx is imported inside the functions that use it, not at module import:
 # only `graph` and `is_planar` use it, and the classify path never loads it.
@@ -55,31 +55,25 @@ def edge_length_fraction(m: int) -> Fraction:
 def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     """Nerve up to dimension max_dim: all finite-type subsets of size <= max_dim + 1.
 
-    Read from the system's finite pairs, label rows and finite-label bit
-    masks.  A pair is an edge iff its label is finite.  The third vertices a
-    triple {i, j, k} (i < j < k) can take are the common finite neighbours of
-    the edge {i, j} above j; each is a 2-simplex iff its labels a, b, c satisfy
-    1/a + 1/b + 1/c > 1, decided by the integer comparison of `triangle_type`
-    (no triangle census is built).  Larger subsets extend the previous level
-    (finite type is downward closed): a candidate needs every facet stored,
-    and goes through diagram matching (`is_finite_type`).
+    Read from the system's finite pairs and its non-hyperbolic triples.  A
+    pair is an edge iff its label is finite.  A triple is a 2-simplex iff its
+    labels a, b, c satisfy 1/a + 1/b + 1/c > 1; such a triple has a label 2
+    (three labels >= 3 give a sum <= 1), so the 2-simplices are the spherical
+    entries of `CoxeterSystem.non_hyperbolic_triples`, found from the label-2
+    and label-3 masks, in the same order (no triangle census is built).
+    `classify_boundary` builds no nerve: it reads the same triples.  Larger
+    subsets extend the previous level (finite type is downward closed): a
+    candidate needs every facet stored, and goes through diagram matching
+    (`is_finite_type`).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     gens = sys.generators
-    rows = sys.label_rows
-    fin = sys.finite_masks
-    pairs = sys._finite_pairs
-    edge_lengths = {(gens[i], gens[j]): edge_length_fraction(m) for i, j, m in pairs}
+    edge_lengths = {(gens[i], gens[j]): edge_length_fraction(m) for i, j, m in sys._finite_pairs}
     simplices = list(edge_lengths)
     level = []
     if max_dim >= 2:
-        for i, j, _ in pairs:
-            common = fin[i] & fin[j]
-            ri, rj, a = rows[i], rows[j], rows[i][j]
-            for k in range(j + 1, common.bit_length()):
-                if common >> k & 1 and _triangle(a, rj[k], ri[k]).kind == SPHERICAL:
-                    level.append((i, j, k))
+        level = [(i, j, k) for i, j, k, tt in sys.non_hyperbolic_triples if tt.kind == SPHERICAL]
         simplices += [(gens[i], gens[j], gens[k]) for i, j, k in level]
     for size in range(4, max_dim + 2):
         prev_set = set(level)

@@ -10,7 +10,8 @@ the classified finite types; no floating point is involved anywhere except in
 A `CoxeterSystem` is checked and indexed once, when it is built, and this
 module is the only one that knows how its labels are stored: the other
 modules read them by generator position, through `label_rows`,
-`finite_masks`, `diagram_index` and the finite pairs.
+`finite_masks`, `diagram_index`, the finite pairs and the non-hyperbolic
+triples.
 """
 
 from __future__ import annotations
@@ -132,6 +133,47 @@ class CoxeterSystem:
                 for k in range(j + 1, n):
                     census[gi, gj, gens[k]] = _triangle(a, rj[k], ri[k])
         return census
+
+    @cached_property
+    def non_hyperbolic_triples(self) -> tuple[tuple[int, int, int, TriangleType], ...]:
+        """(i, j, k, type) for every triple of positions i < j < k whose type
+        is not hyperbolic, in `combinations` order; built when first read.
+
+        Three labels >= 3 give 1/a + 1/b + 1/c <= 1, with equality only at
+        (3, 3, 3), so such a triple has a label 2 or is (3, 3, 3).  With a
+        label 2 it needs its other two labels finite or one of them 2 as well
+        (1/2 + 1/2 + 1/m >= 1 for every m, infinity included).  So the third
+        vertices k > j that a pair {i, j} can take are, by its label: for 2,
+        the common finite neighbours and the vertices labelled 2 to i or j;
+        for infinity, the vertices labelled 2 to both; otherwise the vertices
+        labelled 2 to one of them and finite to the other, and for 3 also the
+        vertices labelled 3 to both.  Each candidate goes once through
+        `_triangle`, with its labels in the census's order."""
+        rows = self.label_rows
+        fin = self.finite_masks
+        n = len(rows)
+        full = (1 << n) - 1
+        two = [full ^ nb ^ 1 << i for i, nb in enumerate(self.diagram_index[1])]
+        three = [sum(1 << j for j, m in enumerate(row) if m == 3) for row in rows]
+        triples = []
+        for i, ri in enumerate(rows):
+            fi, ti = fin[i], two[i]
+            for j in range(i + 1, n):
+                rj, m = rows[j], ri[j]
+                if m == 2:
+                    third = fi & fin[j] | ti | two[j]
+                elif m == INF:
+                    third = ti & two[j]
+                else:
+                    third = ti & fin[j] | two[j] & fi
+                    if m == 3:
+                        third |= three[i] & three[j]
+                for k in range(j + 1, third.bit_length()):
+                    if third >> k & 1:
+                        tt = _triangle(m, rj[k], ri[k])
+                        if tt.kind != HYPERBOLIC:
+                            triples.append((i, j, k, tt))
+        return tuple(triples)
 
     def pairs(self):
         gens = self.generators

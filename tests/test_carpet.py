@@ -428,6 +428,13 @@ def _oracle_verify(carpet, star):
     for leg, mark in zip(star.legs, star.marks):
         if leg[0] != star.center or leg[-1] != mark.point:
             return False
+    if len({mark.cell for mark in star.marks}) != 4:
+        return False
+    peripheral = _peripheral_squares(carpet.level)
+    for mark in star.marks:
+        own = _square(mark.cell, carpet.level)
+        if own not in peripheral or not own.on_boundary(mark.point):
+            return False
     segs = [list(zip(leg[:-1], leg[1:])) for leg in star.legs]
     for a in range(4):
         for b in range(a + 1, 4):
@@ -474,6 +481,33 @@ def _with_leg(star, k, leg):
 def _check_rejected(carpet, bad):
     assert not _oracle_verify(carpet, bad)
     assert not verify_star_in_carpet(carpet, bad)
+
+
+def _with_mark(star, k, leg, mark):
+    return CarpetStar(star.center, star.legs[:k] + (leg,) + star.legs[k + 1:],
+                      star.marks[:k] + (mark,) + star.marks[k + 1:])
+
+
+def test_verifier_rejects_marks_off_peripheral_squares():
+    c = build_carpet_approx(2)
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    # the first leg cut at its second-to-last vertex, a kept-cell centre,
+    # with the kept cell (0, 0, 1) named as its mark
+    cut = star.legs[0][:-1]
+    assert cut[-1] == (F(5, 18), F(7, 18))
+    _check_rejected(c, _with_mark(star, 0, cut, MarkedPoint((0, 0, 1), cut[-1])))
+    # the same cut named as a point of the real mark's square: not on its boundary
+    _check_rejected(c, _with_mark(star, 0, cut, MarkedPoint(star.marks[0].cell, cut[-1])))
+    # a kept cell's boundary point, and a square that is not a carpet square
+    leg = star.legs[1]
+    for cell in ((1, 0, 1), (1, 1, 2)):
+        assert _square(cell, 2).on_boundary(leg[-1])
+        _check_rejected(c, _with_mark(star, 1, leg, MarkedPoint(cell, leg[-1])))
+    # two legs marked on one square
+    m1, m3 = star.marks[1], star.marks[3]
+    _check_rejected(c, _with_mark(star, 3, star.legs[3], MarkedPoint(m1.cell, m3.point)))
+    # the outer square, with its point off the outer boundary
+    _check_rejected(c, _with_mark(star, 1, leg, MarkedPoint((0, 0, 9), leg[-1])))
 
 
 def test_verifier_agrees_with_oracle_on_routed_stars():

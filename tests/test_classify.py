@@ -1,7 +1,8 @@
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 import coxbound.classify
 import coxbound.nerve
 import coxbound.system
-from coxbound.classify import (classify_boundary, euclidean_triple_scan,
+from coxbound.classify import (BoundaryClass, ClassificationReport,
+                               classify_boundary, euclidean_triple_scan,
                                isolated_flats_check, report_to_json,
                                serre_fa_criterion)
-from coxbound.nerve import build_nerve
+from coxbound.nerve import build_nerve, is_complete_1d_nerve
 from coxbound.system import (EUCLIDEAN, INF, _triangle, complete_graph_system,
-                             make_system)
+                             is_finite_type, make_system)
 
 
 def report_to_dict(r):
@@ -151,21 +153,112 @@ def test_report_json_matches_json_dumps(data):
 
 
 def test_classify_work_counts(monkeypatch):
-    # the triangle type is computed once per distinct label triple, and the
-    # diagram matching runs only for the whole group
-    calls = {"is_finite_type": 0}
-    original = coxbound.system.is_finite_type
+    # the triangle type is computed once per distinct label triple, on the
+    # label-3 triangles and the label-2 candidates only; the diagram matching
+    # runs only for the whole group, and neither the census nor the nerve is built
+    calls = {"is_finite_type": 0, "build_nerve": 0}
+    originals = {"is_finite_type": coxbound.system.is_finite_type,
+                 "build_nerve": coxbound.nerve.build_nerve}
 
-    def counted(*args):
-        calls["is_finite_type"] += 1
-        return original(*args)
+    def counter(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counted
 
-    for module in (coxbound.system, coxbound.nerve, coxbound.classify):
-        if hasattr(module, "is_finite_type"):
-            monkeypatch.setattr(module, "is_finite_type", counted)
+    for name in calls:
+        for module in (coxbound.system, coxbound.nerve, coxbound.classify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter(name))
     _triangle.cache_clear()
-    classify_boundary(complete_graph_system(12))
+    sysm = complete_graph_system(12)
+    classify_boundary(sysm)
     info = _triangle.cache_info()
     assert info.misses == 1                  # every triple reads (3, 3, 3)
-    assert info.hits + info.misses == 440    # C(12, 3) census entries + nerve candidates
+    assert info.hits + info.misses == 220    # the C(12, 3) label-3 triangles, no nerve pass
     assert calls["is_finite_type"] <= 1
+    assert calls["build_nerve"] == 0
+    assert "triangle_census" not in sysm.__dict__
+
+
+# --- the census-and-nerve pipeline as an oracle ---------------------------------
+#
+# `classify_boundary` as it was before it read the non-hyperbolic triples: the
+# whole triangle census gives the Euclidean triples, and `build_nerve(sys, 2)`
+# with `is_complete_1d_nerve` the nerve's dimension and completeness.
+
+def _classify_oracle(sys):
+    n = sys.rank
+    citations = []
+    census = tuple(sys.triangle_census.items())
+    fa = serre_fa_criterion(sys)
+    euclidean = tuple(trip for trip, tt in census if tt.kind == EUCLIDEAN)
+    has_euc = bool(euclidean)
+    nerve = build_nerve(sys, max_dim=2)
+    complete1d, nverts = is_complete_1d_nerve(nerve)
+    flats = isolated_flats_check(sys, nerve) if complete1d else False
+
+    def report(boundary):
+        return ClassificationReport(sys, boundary, n, fa, has_euc, not has_euc,
+                                    flats, euclidean, tuple(citations))
+
+    if is_finite_type(sys, sys.generators).finite:
+        citations.append("whole generating set is finite type: finite group, empty or finite boundary")
+        return report(BoundaryClass("EmptyOrFinite"))
+    if not complete1d:
+        if nerve.dimension != 1:
+            reason = f"nerve dimension {nerve.dimension} != 1"
+        else:
+            reason = "nerve not complete (some m_st = inf)"
+        citations.append("hypotheses of the complete-graph trichotomy not met: " + reason)
+        return report(BoundaryClass("OutOfScope", reason))
+    citations.append(f"nerve is the 1-dimensional complete graph K_{nverts}")
+    citations.append("Serre criterion holds: all pairwise products have finite order"
+                     if fa else "Serre criterion fails")
+    citations.append("isolated flats: complete-graph nerve, no vertex with two label-2 edges")
+    if has_euc:
+        citations.append(f"{len(euclidean)} Euclidean triple(s) found: flats exist, group not hyperbolic")
+    else:
+        citations.append("no Euclidean triple: no flat sources in the 2-dimensional regime")
+    if n == 3:
+        citations.append(f"n=3: infinite triangle group ({census[0][1].kind}): circle boundary")
+        return report(BoundaryClass("Circle"))
+    if n == 4:
+        citations.append("n=4: planar nerve, boundary is the Sierpinski carpet")
+        return report(BoundaryClass("SierpinskiCarpet"))
+    citations.append(f"n={n} >= 5: K_5 embeds in the boundary, boundary is the Menger curve")
+    return report(BoundaryClass("MengerCurve"))
+
+
+def _assert_matches_oracle(sysm):
+    report = classify_boundary(sysm)
+    expected = _classify_oracle(make_system(sysm.generators, sysm.orders))
+    for f in fields(ClassificationReport):
+        assert getattr(report, f.name) == getattr(expected, f.name), f.name
+    assert report.triangle_census == expected.triangle_census
+    assert report_to_json(report) == report_to_json(expected)
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_classify_matches_census_and_nerve_oracle(data):
+    rank = data.draw(st.integers(1, 8), label="rank")
+    gens = [f"s{i + 1}" for i in range(rank)]
+    # integer and float labels, 2 and infinity among them
+    label = st.sampled_from([2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 6.0])
+    _assert_matches_oracle(
+        make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)}))
+
+
+def test_classify_matches_oracle_on_every_rank4_system():
+    # every rank-4 system over labels {2, 3, 6, inf}: every verdict, nerve
+    # dimension 0, 1 and 2, and Euclidean (2, 3, 6), (3, 3, 3) and (2, 2, inf)
+    gens = "abcd"
+    pairs = list(combinations(gens, 2))
+    tags = set()
+    for labels in product([2, 3, 6, INF], repeat=len(pairs)):
+        tags.add(str(_assert_matches_oracle(make_system(gens, dict(zip(pairs, labels)))).boundary))
+    assert tags == {"EmptyOrFinite", "SierpinskiCarpet", "OutOfScope(nerve dimension 0 != 1)",
+                    "OutOfScope(nerve dimension 2 != 1)",
+                    "OutOfScope(nerve not complete (some m_st = inf))"}

@@ -1,12 +1,12 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxbound.system import (INF, CoxeterSystem, PresentationError,
+from coxbound.system import (HYPERBOLIC, INF, CoxeterSystem, PresentationError,
                              complete_graph_system, cosine_matrix, format_system,
                              irreducible_components, is_finite_type, make_system,
                              parse_system, subgroup_order,
@@ -117,6 +117,36 @@ def test_triangle_kind_matches_fraction_sum():
                     else "Hyperbolic")
         tt = triangle_type(triangle(*ms), "xyz")
         assert (tt.kind, tt.triple) == (expected, ms), ms
+
+
+_NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_non_hyperbolic_triples_match_census(data):
+    # the label-2 and label-3 masks find exactly the census's entries that are
+    # not hyperbolic: the same positions, types and label types, in its order
+    rank = data.draw(st.integers(1, 8), label="rank")
+    gens = data.draw(st.permutations(_NAME_POOL), label="names")[:rank]
+    label = st.sampled_from([2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 6.0])
+    sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
+    position = {g: i for i, g in enumerate(gens)}
+    expected = [(*map(position.get, trip), tt) for trip, tt in sysm.triangle_census.items()
+                if tt.kind != HYPERBOLIC]
+    found = sysm.non_hyperbolic_triples
+    assert list(found) == expected
+    for (*_, tt), (*_, want) in zip(found, expected):
+        assert [type(m) for m in tt.triple] == [type(m) for m in want.triple]
+
+
+def test_non_hyperbolic_triples_examples():
+    assert len(complete_graph_system(6).non_hyperbolic_triples) == 20      # C(6, 3) of (3, 3, 3)
+    assert complete_graph_system(6, label=4).non_hyperbolic_triples == ()
+    # (2, 2, inf) is Euclidean by the integer rule; (2, 3, inf) is hyperbolic
+    sysm = make_system("abcd", {("a", "b"): 2, ("b", "c"): 2, ("c", "d"): 3})
+    assert [(i, j, k, tt.kind, tt.triple) for i, j, k, tt in sysm.non_hyperbolic_triples] == [
+        (0, 1, 2, "Euclidean", (2, 2, INF))]
 
 
 def test_irreducible_components():
