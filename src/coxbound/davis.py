@@ -169,8 +169,11 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         # vertices: P_ab at origin, P_ac at (1,0), P_bc above
         x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
         tri0 = np.array([[0.0, 0.0], [1.0, 0.0], [x, x * math.tan(alpha)]])
-        return _orbit(tri0, lambda tri: [_reflect_across(tri, tri[i], tri[(i + 1) % 3])
-                                          for i in range(3)], depth), kind
+        # edges (0,1), (1,2), (2,0) lie on the walls of generators 0, 2, 1,
+        # and reflecting g(tri0) in its wall of s gives gs(tri0)
+        moves = [(s, lambda tri, i=i, j=j: _reflect_across(tri, tri[i], tri[j]))
+                 for i, j, s in ((0, 1, 0), (1, 2, 2), (2, 0, 1))]
+        return _orbit(sys, tri0, moves, depth), kind
 
     # Tits chamber: the vertex opposite generator i spans the nullspace of the
     # 2x3 system B(v, e_j) = 0, j != i, and is normalized against the form:
@@ -187,7 +190,10 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         else:
             rows.append(v / math.sqrt(q))
     rhos = geometric_representation(sys)
-    tris = _orbit(np.array(rows), lambda tri: [tri @ rho.T for rho in rhos], depth)
+    # rho(s) takes the chamber of g to that of sg; keyed by g^-1, that is the
+    # right multiply g^-1 s, as in the Euclidean case
+    moves = [(s, lambda tri, r=rho.T: tri @ r) for s, rho in enumerate(rhos)]
+    tris = _orbit(sys, np.array(rows), moves, depth)
 
     if kind == "hyperbolic":
         # Klein-type projective disk: diagonalize B to diag(1,1,-1), then (x,y) = (u1/u3, u2/u3)
@@ -207,21 +213,24 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
     return pts2d, kind
 
 
-def _orbit(tri0: np.ndarray, images, depth: int) -> list[np.ndarray]:
+def _orbit(sys: CoxeterSystem, tri0: np.ndarray, moves, depth: int) -> list[np.ndarray]:
     """tri0 and its images under up to `depth` reflections, breadth first, each
-    triangle once; images(tri) lists the reflections of tri in order."""
+    triangle once.  `moves` lists (generator, image function) in image order;
+    each triangle is keyed by the ShortLex normal form of its group element,
+    and the image function runs only for a key not seen before."""
+    ctx = word_context(sys)
     tris = [tri0]
-    seen = {_tri_key(tri0)}
-    frontier = [tri0]
+    seen = {()}
+    frontier = [((), tri0)]
     for _ in range(depth):
         nxt = []
-        for tri in frontier:
-            for img in images(tri):
-                key = _tri_key(img)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(img)
-        tris += nxt
+        for key, tri in frontier:
+            for s, image in moves:
+                k = ctx.multiply(key, s)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append((k, image(tri)))
+        tris += [tri for _, tri in nxt]
         frontier = nxt
     return tris
 
@@ -236,11 +245,8 @@ def _reflect_across(pts: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray
     return p + 2.0 * np.outer(proj, d) - rel
 
 
-def _tri_key(tri: np.ndarray) -> tuple:
-    return tuple(sorted(tuple(round(float(x), 9) for x in row) for row in tri))
-
-
 def _svg_document(triangles, kind: str) -> str:
+    triangles = [tri.tolist() for tri in triangles]     # Python floats format faster
     xs = [p[0] for tri in triangles for p in tri]
     ys = [p[1] for tri in triangles for p in tri]
     pad = 0.1

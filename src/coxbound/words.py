@@ -385,41 +385,45 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
             if mark[alpha]:
                 continue
             # forward from f at position i, backward from b at position j;
-            # even positions read s and odd positions read t
+            # even positions read s and odd positions read t, so each walk
+            # holds the column it reads next (fc, bc) and the other one, and
+            # swaps the pair after each step
             f, i, b, j = alpha, 0, alpha, last - 1
+            fc, fn, bc, bn = cs, ct, ct, cs
             while True:
                 while i <= j:
-                    d = ct[f] if i & 1 else cs[f]
+                    d = fc[f]
                     if d == -1:
                         break
                     f = d
                     mark[d] = 1
                     i += 1
+                    fc, fn = fn, fc
                 else:
                     if f != b:
                         coincidence(f, b)
                     break
                 while j >= i:
-                    d = ct[b] if j & 1 else cs[b]
+                    d = bc[b]
                     if d == -1:
                         break
                     b = d
                     mark[d] = 1
                     j -= 1
+                    bc, bn = bn, bc
                 else:
                     coincidence(f, b)
                     break
-                col = ct if i & 1 else cs
                 if j == i:
-                    col[f] = b
-                    col[b] = f
+                    fc[f] = b
+                    fc[b] = f
                     break
                 if n >= cap:
                     return False, 0, n
                 if n == size:
                     size = grow()
-                col[f] = n
-                col[n] = f
+                fc[f] = n
+                fc[n] = f
                 n += 1
             if p[alpha] != alpha:
                 break

@@ -1,11 +1,17 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from coxbound import davis
 from coxbound.davis import (build_davis_ball, ball_to_json,
                             euler_characteristic, link_matches_nerve,
                             tessellation_svg, tessellation_triangles,
                             vertex_link)
 from coxbound.nerve import build_nerve
-from coxbound.system import complete_graph_system, make_system
+from coxbound.system import HYPERBOLIC, complete_graph_system, make_system, triangle_type
+from coxbound.words import cayley_ball
 
 
 def triangle(a, b, c):
@@ -102,3 +108,117 @@ def test_tessellation_svg_deterministic():
 def test_tessellation_requires_rank_3():
     with pytest.raises(ValueError):
         tessellation_svg(complete_graph_system(4), 3)
+
+
+# --- the orbit against its float-key oracle ----------------------------------------
+#
+# The orbit as it ran before it keyed each triangle by its group element: a
+# triangle was new when its coordinates, rounded to 9 digits, were.  Every
+# image was computed and rounded, and in deep hyperbolic tessellations one
+# chamber reached along two paths could round to two keys and be drawn twice.
+
+def _float_key_orbit(tri0, images, depth):
+    tris = [tri0]
+    seen = {_tri_key(tri0)}
+    frontier = [tri0]
+    for _ in range(depth):
+        nxt = []
+        for tri in frontier:
+            for img in images(tri):
+                key = _tri_key(img)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(img)
+        tris += nxt
+        frontier = nxt
+    return tris
+
+
+def _tri_key(tri):
+    return tuple(sorted(tuple(round(float(x), 9) for x in row) for row in tri))
+
+
+def _oracle_svg(sysm, depth):
+    """tessellation_svg with the orbit walked by the float-key oracle."""
+    def orbit(_sys, tri0, moves, depth):
+        return _float_key_orbit(tri0, lambda tri: [image(tri) for _, image in moves], depth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(davis, "_orbit", orbit)
+        return tessellation_svg(sysm, depth)
+
+
+def _polygons(svg):
+    return re.findall(r'<polygon points="([^"]*)"', svg)
+
+
+@st.composite
+def triangle_systems(draw):
+    """Triangle groups with labels 2-8 and their generators in random order."""
+    labels = {pair: draw(st.integers(2, 8)) for pair in (("a", "b"), ("b", "c"), ("a", "c"))}
+    return make_system(draw(st.permutations("abc")), labels)
+
+
+# random labels are seldom Euclidean, whose orbit unfolds by edge reflections
+EUCLIDEAN_236 = make_system("abc", {("a", "b"): 2, ("b", "c"): 3, ("a", "c"): 6})
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangle_systems(), st.integers(0, 9))
+@example(make_system("cab", {("a", "b"): 3, ("b", "c"): 7, ("a", "c"): 8}), 9)
+@example(EUCLIDEAN_236, 6)
+def test_tessellation_matches_float_key_oracle(sysm, depth):
+    svg, oracle = tessellation_svg(sysm, depth), _oracle_svg(sysm, depth)
+    drawn = _polygons(oracle)
+    if len(drawn) == cayley_ball(sysm, depth).size:
+        assert svg == oracle
+    else:
+        # the oracle drew a hyperbolic chamber twice (the example above: 906
+        # polygons for 903 chambers); the orbit draws the oracle's polygons in
+        # its order, each once
+        assert triangle_type(sysm, sysm.generators).kind == HYPERBOLIC
+        assert _polygons(svg) == list(dict.fromkeys(drawn))
+
+
+def _orbit_triangles(sysm, depth):
+    """The triangles of the orbit before projection, where distinct chambers
+    have distinct vertex sets (the orthographic drawing of a spherical
+    tessellation overlays its two hemispheres)."""
+    walked, walk = [], davis._orbit
+
+    def orbit(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(davis, "_orbit", orbit)
+        tessellation_triangles(sysm, depth)
+    return walked[0]
+
+
+def _assert_one_triangle_per_group_element(sysm, depth):
+    tris = _orbit_triangles(sysm, depth)
+    assert len(tris) == cayley_ball(sysm, depth).size
+    vertex_sets = {tuple(sorted(tuple(round(x, 6) for x in row) for row in tri.tolist()))
+                   for tri in tris}
+    assert len(vertex_sets) == len(tris)
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangle_systems(), st.integers(0, 12))
+@example(EUCLIDEAN_236, 6)
+def test_tessellation_count_is_cayley_ball(sysm, depth):
+    _assert_one_triangle_per_group_element(sysm, depth)
+
+
+# (m_ab, m_ac, m_bc), depth and triangle count where the float-key oracle drew
+# duplicates: 1,461, 4,631, 11,478 and 2,739 triangles
+@pytest.mark.parametrize("labels,depth,count", [
+    ((3, 5, 8), 10, 1460), ((3, 5, 8), 12, 4623), ((7, 7, 7), 12, 11470),
+    ((5, 7, 8), 10, 2738),
+])
+def test_deep_hyperbolic_tessellation_counts_pinned(labels, depth, count):
+    ab, ac, bc = labels
+    sysm = make_system("abc", {("a", "b"): ab, ("a", "c"): ac, ("b", "c"): bc})
+    assert len(tessellation_triangles(sysm, depth)[0]) == count
+    _assert_one_triangle_per_group_element(sysm, depth)
