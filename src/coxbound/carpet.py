@@ -7,6 +7,8 @@ approximants (the outer boundary counts as one more peripheral circle).  A
 level-L carpet is held as its level and read on the 3^L x 3^L cell grid:
 every square of it, kept, removed, marked or the outer boundary, is an
 integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
+One table, `hole_at`, answers for every cell whether it is kept and which
+removed square covers it otherwise; every other membership question reads it.
 The star-embedding router works on the corridor graph of kept cells, held as
 integer node ids and adjacency lists; its flow routine, `node_disjoint_paths`,
 is a port of networkx's node-split Edmonds-Karp to those arrays and returns
@@ -39,16 +41,20 @@ F0, F1 = Fraction(0), Fraction(1)
 class CarpetApprox:
     """The level-`level` middle-ninth carpet, held as its level.  Its squares
     are integer cells (x, y, side) in units of 3^-level; each table below is
-    computed from the level when first read."""
+    computed from the level when first read, and `hole_at` is the one that
+    says which cells are kept."""
     level: int
 
     @cached_property
-    def kept(self) -> tuple[tuple[int, int, int], ...]:   # 8^level cells of side 1
-        return tuple(_carpet_cells(self.level, removed=False))
+    def kept(self) -> tuple[tuple[int, int, int], ...]:
+        """The 8^level cells of side 1 that no removed square covers, in
+        row-major order."""
+        n = 3 ** self.level
+        return tuple((*divmod(r, n), 1) for r, k in enumerate(self.hole_at) if k < 0)
 
     @cached_property
     def removed(self) -> tuple[tuple[int, int, int], ...]:   # cumulative, all scales
-        return tuple(_carpet_cells(self.level, removed=True))
+        return tuple(_removed_cells(self.level))
 
     @cached_property
     def hole_at(self) -> list[int]:
@@ -70,14 +76,13 @@ class CarpetApprox:
         has the neighbours (i-1, j), (i, j-1), (i, j+1), (i+1, j) that are
         kept, in that order; and the node ids by distance from the grid
         center, ties in id order (the router's candidate centers)."""
-        level, n = self.level, 3 ** self.level
+        n = 3 ** self.level
         cells: list[tuple[int, int]] = []
         index = [-1] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                if _cell_kept(i, j, level):
-                    index[i * n + j] = len(cells)
-                    cells.append((i, j))
+        for r, k in enumerate(self.hole_at):
+            if k < 0:
+                index[r] = len(cells)
+                cells.append(divmod(r, n))
         adjacency = []
         for i, j in cells:
             r = i * n + j
@@ -90,25 +95,24 @@ class CarpetApprox:
         return cells, index, residual_network(adjacency), by_center
 
 
-def _carpet_cells(level: int, removed: bool) -> list[tuple[int, int, int]]:
-    """The kept or the removed squares of the level-`level` carpet as integer
+def _removed_cells(level: int) -> list[tuple[int, int, int]]:
+    """The removed squares of the level-`level` carpet, all scales, as integer
     cells (x, y, side) in units of 3^-level: at each step every kept cell
     loses its center and leaves its other eight ninths, x offset outer and
-    y offset inner."""
-    side = 3 ** level
+    y offset inner, until the centers removed are single cells."""
+    s = 3 ** level
     kept = [(0, 0)]
     holes: list[tuple[int, int, int]] = []
     for _ in range(level):
-        s = side // 3
+        s //= 3
         holes += [(x + s, y + s, s) for x, y in kept]
-        if removed and s == 1:
+        if s == 1:
             break
         t = 2 * s
         kept = [cell for x, y in kept for cell in (
             (x, y), (x, y + s), (x, y + t), (x + s, y), (x + s, y + t),
             (x + t, y), (x + t, y + s), (x + t, y + t))]
-        side = s
-    return holes if removed else [(x, y, side) for x, y in kept]
+    return holes
 
 
 def build_carpet_approx(level: int) -> CarpetApprox:
@@ -278,15 +282,6 @@ class RoutingError(RuntimeError):
     def __init__(self, msg: str, carpet_index: Optional[int] = None):
         super().__init__(msg)
         self.carpet_index = carpet_index
-
-
-def _cell_kept(i: int, j: int, level: int) -> bool:
-    for _ in range(level):
-        if i % 3 == 1 and j % 3 == 1:
-            return False
-        i //= 3
-        j //= 3
-    return True
 
 
 def _is_peripheral_cell(carpet: CarpetApprox, cell: tuple[int, int, int]) -> bool:
@@ -465,19 +460,19 @@ def _cell_center(cell: tuple[int, int], level: int) -> Point:
     return (Fraction(2 * cell[0] + 1, 2 * n), Fraction(2 * cell[1] + 1, 2 * n))
 
 
-def _entry_cell(p: Point, level: int) -> tuple[int, int]:
-    """The kept cell whose closure contains p, a point in the interior of a
-    cell edge on a peripheral boundary: of the two cells beside that edge, the
-    other lies inside the removed square or outside the unit square.
-    Cell-corner points are ambiguous and rejected."""
-    n = 3 ** level
+def _entry_cell(p: Point, carpet: CarpetApprox) -> tuple[int, int]:
+    """The kept cell of `carpet` whose closure contains p, a point in the
+    interior of a cell edge on a peripheral boundary: of the two cells beside
+    that edge, the other lies inside the removed square or outside the unit
+    square.  Cell-corner points are ambiguous and rejected."""
+    n = 3 ** carpet.level
     xs, ys = p[0] * n, p[1] * n
     if xs.denominator == 1 and ys.denominator == 1:
         raise ValueError(f"marked point {p} sits on a cell corner; move it")
     i, j = int(xs), int(ys)
     beside = ((i - 1, j), (i, j)) if xs.denominator == 1 else ((i, j - 1), (i, j))
     for i, j in beside:
-        if 0 <= i < n and 0 <= j < n and _cell_kept(i, j, level):
+        if 0 <= i < n and 0 <= j < n and carpet.hole_at[i * n + j] < 0:
             return (i, j)
     raise ValueError(f"marked point {p} has no kept cell beside it")
 
@@ -506,7 +501,7 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         if not (x <= px <= x + side and y <= py <= y + side
                 and (px in (x, x + side) or py in (y, y + side))):
             raise ValueError(f"{m.point} not on the boundary of its square")
-    entries = [_entry_cell(m.point, level) for m in marks]
+    entries = [_entry_cell(m.point, carpet) for m in marks]
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 

@@ -107,11 +107,9 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     if finite:
         euclidean, spherical = (), n >= 3
     else:
-        triples = sys.non_hyperbolic_triples
-        euclidean = tuple((gens[i], gens[j], gens[k])
-                          for i, j, k, tt in triples if tt.kind == EUCLIDEAN)
+        euclidean = tuple(euclidean_triple_scan(sys))
         # the triples that are neither hyperbolic nor Euclidean are spherical
-        spherical = len(euclidean) < len(triples)
+        spherical = len(euclidean) < len(sys.non_hyperbolic_triples)
     has_euc = bool(euclidean)
     hyperbolic = not has_euc
     complete1d = fa and n >= 2 and not spherical

@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .classify import serre_fa_criterion
-from .nerve import NerveComplex, build_nerve, edge_length_fraction
-from .system import CoxeterSystem, cosine_matrix, geometric_representation, triangle_type
+from .nerve import NerveComplex, edge_length_fraction
+from .system import (SPHERICAL, CoxeterSystem, cosine_matrix, geometric_representation,
+                     triangle_type)
 from .words import cayley_ball, word_context
 
 # numpy is imported inside the functions that use it, not at module import:
@@ -48,8 +49,8 @@ def build_davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
     """Combinatorial ball: Cayley 1-skeleton plus all fully-contained polygons."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    nerve = build_nerve(sys, max_dim=2)
-    if nerve.dimension >= 2:
+    # the nerve has a 2-simplex iff some triple is spherical
+    if any(tt.kind == SPHERICAL for *_, tt in sys.non_hyperbolic_triples):
         raise ValueError("Davis ball requires a nerve of dimension <= 1 (2-complex regime)")
     ball = cayley_ball(sys, radius)
     ctx = word_context(sys)

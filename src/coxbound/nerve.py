@@ -61,10 +61,10 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     (three labels >= 3 give a sum <= 1), so the 2-simplices are the spherical
     entries of `CoxeterSystem.non_hyperbolic_triples`, found from the label-2
     and label-3 masks, in the same order (no triangle census is built).
-    `classify_boundary` builds no nerve: it reads the same triples.  Larger
-    subsets extend the previous level (finite type is downward closed): a
-    candidate needs every facet stored, and goes through diagram matching
-    (`is_finite_type`).
+    `classify_boundary` and `build_davis_ball` build no nerve: they read the
+    same triples.  Larger subsets extend the previous level (finite type is
+    downward closed): a candidate needs every facet stored, and goes through
+    diagram matching (`is_finite_type`).
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")

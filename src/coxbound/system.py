@@ -373,7 +373,8 @@ def _component_diagram_name(sys: CoxeterSystem, members: list[int]) -> Optional[
             return "G2"
         return f"I2({m})"
     # from rank 3 on, finite-type diagrams are trees with no infinite label:
-    # the scan stops at the first infinite label or the n-th edge
+    # the scan stops at the first infinite label or the n-th edge; a connected
+    # component has at least n - 1 edges, so one that passes it is a tree
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in members}
     edges = 0
     for k, i in enumerate(members):
@@ -389,8 +390,6 @@ def _component_diagram_name(sys: CoxeterSystem, members: list[int]) -> Optional[
                 m = int(m)
                 adj[i].append((j, m))
                 adj[j].append((i, m))
-    if edges != n - 1:
-        return None
     branch = [i for i in members if len(adj[i]) >= 3]
     if len(branch) > 1 or any(len(adj[i]) > 3 for i in members):
         return None

@@ -303,7 +303,9 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
     the involution relators s^2, whose scan at a coset would only define its
     empty entries, so each coset's row is filled in generator order and then
     only `relators`, the triples (s, t, m) for (st)^m, are scanned; a scan
-    reads the columns of s and t alternately.
+    reads the columns of s and t alternately.  A coincidence moves a dead
+    coset's entries onto its representative, so a row that is full stays
+    full, and no coset needs a second fill after its scans.
 
     A scan of (st)^m that completes closes the <s, t> cycle through its start,
     and every coset the scan walked through lies on that cycle.  The cycle
@@ -374,9 +376,9 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
             continue
         for col in cols:
             if col[alpha] == -1:
-                if n >= cap:
-                    return False, 0, n
                 if n == size:
+                    if n == cap:
+                        return False, 0, n
                     size = grow()
                 col[alpha] = n
                 col[n] = alpha
@@ -418,25 +420,15 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
                     fc[f] = b
                     fc[b] = f
                     break
-                if n >= cap:
-                    return False, 0, n
                 if n == size:
+                    if n == cap:
+                        return False, 0, n
                     size = grow()
                 fc[f] = n
                 fc[n] = f
                 n += 1
             if p[alpha] != alpha:
                 break
-        if p[alpha] == alpha:
-            for col in cols:
-                if col[alpha] == -1:
-                    if n >= cap:
-                        return False, 0, n
-                    if n == size:
-                        size = grow()
-                    col[alpha] = n
-                    col[n] = alpha
-                    n += 1
         alpha += 1
 
     return True, sum(1 for k in range(n) if p[k] == k), n

@@ -12,7 +12,7 @@ import coxbound
 from coxbound import carpet
 from coxbound.carpet import (HOLED_DISK, CarpetApprox, CarpetStar, MarkedPoint,
                              RoutingError, StarEmbedding, _cell_edge_midpoint,
-                             _cell_kept, _default_mark_assignment, _entry_cell,
+                             _default_mark_assignment, _entry_cell,
                              _is_peripheral_cell, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
@@ -64,6 +64,18 @@ def _square(cell, level):
     return Square(*(F(v, n) for v in cell))
 
 
+def _cell_kept(i, j, level):
+    """Whether cell (i, j) of the 3^level grid is kept, from its base-3
+    digits alone: no digit position has a 1 in both coordinates.  The
+    oracle for `CarpetApprox.hole_at`, which the library reads instead."""
+    for _ in range(level):
+        if i % 3 == 1 and j % 3 == 1:
+            return False
+        i //= 3
+        j //= 3
+    return True
+
+
 def test_library_has_no_square_model():
     """Integer cells are the carpet's only representation: the package has
     no Square or OUTER, and a carpet no `holes` beside `removed`."""
@@ -98,13 +110,14 @@ def _reference_carpet(level):
 
 
 def test_carpet_matches_reference_order():
-    """kept and removed, integer cells, equal the reference subdivision
-    element by element, in order (the SVG and JSON emit squares in this
-    order)."""
+    """kept and removed, integer cells, equal the reference squares element
+    by element: removed in the subdivision's order (the SVG emits squares in
+    this order), kept in row-major order, the reference sorted by (x, y)."""
     for level in range(5):
         c = build_carpet_approx(level)
         kept, removed = _reference_carpet(level)
-        assert [_square(cell, level) for cell in c.kept] == list(kept)
+        assert [_square(cell, level) for cell in c.kept] == \
+            sorted(kept, key=lambda sq: (sq.x, sq.y))
         assert [_square(cell, level) for cell in c.removed] == list(removed)
         assert all(type(v) is int for cell in c.kept + c.removed for v in cell)
 
@@ -120,7 +133,7 @@ def test_carpet_self_similarity():
 def test_hole_table_matches_removed_squares():
     """`hole_at` marks exactly the cells that are not kept, each with the
     removed square whose interior holds the cell's center."""
-    for level in range(5):
+    for level in range(6):
         c = build_carpet_approx(level)
         n = 3 ** level
         for i in range(n):
@@ -270,7 +283,8 @@ def test_entry_cell_on_peripheral_boundary(data):
 
     p = on_side(F(2 * k + 1, 2))        # a cell-edge midpoint
     assert sq.on_boundary(p)
-    i, j = _entry_cell(p, level)
+    c = build_carpet_approx(level)
+    i, j = _entry_cell(p, c)
     assert 0 <= i < n and 0 <= j < n and _cell_kept(i, j, level)
     assert F(i, n) <= p[0] <= F(i + 1, n) and F(j, n) <= p[1] <= F(j + 1, n)
     if sq != OUTER:
@@ -278,7 +292,7 @@ def test_entry_cell_on_peripheral_boundary(data):
                     and sq.y <= F(j, n) and F(j + 1, n) <= sq.y + sq.side)
     corner = on_side(data.draw(st.integers(0, cells), label="cell corner"))
     with pytest.raises(ValueError):
-        _entry_cell(corner, level)
+        _entry_cell(corner, c)
 
 
 # --- erratum star family ----------------------------------------------------------

@@ -31,10 +31,25 @@ def test_classify_out_of_scope(tmp_path):
 
 
 def test_classify_input_errors(tmp_path, capsys):
+    """A missing file and each malformed presentation exit 1 with one
+    `error:` line naming the fault."""
     assert main(["classify", "--input", str(tmp_path / "missing.cox")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
     bad = tmp_path / "bad.cox"
-    bad.write_text("gens a b\na b 1\n")
-    assert main(["classify", "--input", str(bad)]) == 1
+    for text, message in (
+            ("gens a b\na b 1\n", "line 2: off-diagonal label 1 forbidden"),
+            ("gens\na b 3\n", "line 1: no generators"),
+            ("gens a b\na b\n", "line 2: expected '<id> <id> <label>'"),
+            ("gens a b\na b 3 4\n", "line 2: expected '<id> <id> <label>'"),
+            ("gens a b\na a 3\n", "line 2: diagonal pair a a"),
+            ("", "empty presentation: no 'gens' line"),
+            ("# only a comment\n\n", "empty presentation: no 'gens' line")):
+        bad.write_text(text)
+        assert main(["classify", "--input", str(bad)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert captured.err.startswith("error: " + message), (text, captured.err)
+        assert captured.err.count("\n") == 1, captured.err
 
 
 def test_parser_reused_across_calls(k4_file, tmp_path, capsys):
@@ -130,12 +145,21 @@ def test_k5_routing_failure_exit_code(capsys):
     assert main(["k5", "--level", "1"]) == 3
 
 
-def test_k5_byte_deterministic(tmp_path):
+def test_k5_byte_deterministic(tmp_path, capsys):
+    """Two --out runs write the same files, and the stdout formats print
+    their bytes: the SVG as written, the JSON with the newline that ends
+    every stdout artifact."""
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["k5", "--out", str(a)]) == 0
     assert main(["k5", "--out", str(b)]) == 0
     assert (a / "scaffold.json").read_bytes() == (b / "scaffold.json").read_bytes()
     assert (a / "scaffold.svg").read_bytes() == (b / "scaffold.svg").read_bytes()
+    capsys.readouterr()
+    for fmt, tail in (("json", "\n"), ("svg", "")):
+        assert main(["k5", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (a / f"scaffold.{fmt}").read_text() + tail
+        assert captured.err == "verify_k5_graph: pass\n"
 
 
 K3_TEXT = "gens a b c\na b 3\nb c 3\na c 3\n"
@@ -158,6 +182,21 @@ def test_davis_ball_radius_zero_is_input_error(k4_file, capsys):
 def test_tessellate_rank_4_is_input_error(k4_file, capsys):
     assert main(["tessellate", "--input", k4_file]) == 1
     assert capsys.readouterr().err.startswith("error: tessellation requires exactly 3")
+
+
+def test_tessellate_input_errors(tmp_path, capsys):
+    """An infinite label and a negative depth exit 1 with one `error:` line."""
+    p = tmp_path / "t.cox"
+    for text, depth, message in (
+            ("gens a b c\na b inf\nb c 3\na c 3\n", "2",
+             "tessellation requires a complete K_3 nerve"),
+            ("gens a b c\na b 2\nb c 3\na c 7\n", "-1", "depth must be >= 0")):
+        p.write_text(text)
+        assert main(["tessellate", "--input", str(p), "--depth", depth]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message) and \
+            captured.err.count("\n") == 1, captured.err
 
 
 def test_carpet_level_beyond_guard_is_input_error(capsys):

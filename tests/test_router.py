@@ -20,6 +20,7 @@ from coxbound.carpet import (CarpetStar, RoutingError, _cell_center, _entry_cell
                              _join_sink, build_carpet_approx, build_k5_scaffold,
                              node_disjoint_paths, residual_network, scaffold_svg,
                              scaffold_to_json, verify_k5_graph)
+from test_carpet import _cell_kept
 
 
 def _corridor_graph(level: int) -> nx.Graph:
@@ -28,12 +29,12 @@ def _corridor_graph(level: int) -> nx.Graph:
     g = nx.Graph()
     for i in range(n):
         for j in range(n):
-            if not carpet._cell_kept(i, j, level):
+            if not _cell_kept(i, j, level):
                 continue
             g.add_node((i, j))
-            if i > 0 and carpet._cell_kept(i - 1, j, level):
+            if i > 0 and _cell_kept(i - 1, j, level):
                 g.add_edge((i - 1, j), (i, j))
-            if j > 0 and carpet._cell_kept(i, j - 1, level):
+            if j > 0 and _cell_kept(i, j - 1, level):
                 g.add_edge((i, j - 1), (i, j))
     return g
 
@@ -49,7 +50,7 @@ def _networkx_embed_star(c, marks):
     """The router as it ran on networkx: the same candidates, checks and legs."""
     marks = tuple(marks)
     level, n = c.level, 3 ** c.level
-    entries = [_entry_cell(m.point, level) for m in marks]
+    entries = [_entry_cell(m.point, c) for m in marks]
     graph = _corridor_graph(level)
     candidates = sorted((x for x in graph.nodes if x not in entries),
                         key=lambda x: (abs(2 * x[0] + 1 - n) + abs(2 * x[1] + 1 - n), x))
@@ -143,7 +144,8 @@ def _routed_through_networkx(level, seed=None):
         carpet.embed_star_in_carpet = original
 
 
-@pytest.mark.parametrize("level, seed", [(2, seed) for seed in range(12)] + [(4, None)])
+@pytest.mark.parametrize("level, seed", [(2, seed) for seed in range(12)] +
+                         [(3, seed) for seed in (0, 4, 7)] + [(4, None)])
 def test_scaffold_matches_networkx_routing(level, seed):
     assert scaffold_to_json(build_k5_scaffold(level, seed)) == \
         scaffold_to_json(_routed_through_networkx(level, seed))
