@@ -1,5 +1,5 @@
-"""Sierpinski-carpet approximations, star embeddings, and the five-carpet
-K5 scaffold.
+"""Sierpinski-carpet approximations, star embeddings, and the K5 scaffold:
+five copies of one carpet, glued along the marks of their stars.
 
 All geometry is exact.  The carpet is the standard middle-ninth model in the
 unit square; the removed open squares are the peripheral Jordan-region
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -68,31 +68,29 @@ class CarpetApprox:
         return table
 
     @cached_property
-    def corridors(self) -> tuple[list[tuple[int, int]], list[int], Network, list[int]]:
+    def corridors(self) -> tuple[list[int], Network, list[int]]:
         """The corridor graph of kept cells as integer arrays, built once per
-        carpet: the kept cells (i, j) in row-major order, whose position is
-        their node id; the node id of cell (i, j) at i * 3^level + j, or -1
-        for a removed cell; the `residual_network` of the graph whose node
-        has the neighbours (i-1, j), (i, j-1), (i, j+1), (i+1, j) that are
-        kept, in that order; and the node ids by distance from the grid
-        center, ties in id order (the router's candidate centers)."""
+        carpet, a node id being a position in `kept`: the node id of cell
+        (i, j) at i * 3^level + j, or -1 for a removed cell; the
+        `residual_network` of the graph whose node has the neighbours
+        (i-1, j), (i, j-1), (i, j+1), (i+1, j) that are kept, in that order;
+        and the node ids by distance from the grid center, ties in id order
+        (the router's candidate centers)."""
         n = 3 ** self.level
-        cells: list[tuple[int, int]] = []
+        kept = self.kept
         index = [-1] * (n * n)
-        for r, k in enumerate(self.hole_at):
-            if k < 0:
-                index[r] = len(cells)
-                cells.append(divmod(r, n))
+        for k, (i, j, _) in enumerate(kept):
+            index[i * n + j] = k
         adjacency = []
-        for i, j in cells:
+        for i, j, _ in kept:
             r = i * n + j
             adjacency.append([k for k in (index[r - n] if i > 0 else -1,
                                           index[r - 1] if j > 0 else -1,
                                           index[r + 1] if j < n - 1 else -1,
                                           index[r + n] if i < n - 1 else -1) if k >= 0])
-        by_center = sorted(range(len(cells)), key=lambda k: (
-            abs(2 * cells[k][0] + 1 - n) + abs(2 * cells[k][1] + 1 - n), k))
-        return cells, index, residual_network(adjacency), by_center
+        by_center = sorted(range(len(kept)), key=lambda k: (
+            abs(2 * kept[k][0] + 1 - n) + abs(2 * kept[k][1] + 1 - n), k))
+        return index, residual_network(adjacency), by_center
 
 
 def _removed_cells(level: int) -> list[tuple[int, int, int]]:
@@ -455,7 +453,7 @@ def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
 nx = SimpleNamespace(node_disjoint_paths=node_disjoint_paths)
 
 
-def _cell_center(cell: tuple[int, int], level: int) -> Point:
+def _cell_center(cell: Sequence[int], level: int) -> Point:
     n = 3 ** level
     return (Fraction(2 * cell[0] + 1, 2 * n), Fraction(2 * cell[1] + 1, 2 * n))
 
@@ -505,10 +503,11 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
-    cells, index, network, by_center = carpet.corridors
+    index, network, by_center = carpet.corridors
+    kept = carpet.kept
     entry_ids = [index[i * n + j] for i, j in entries]
     # the corridor graph: the kept cells, then a sink joined to every entry cell
-    sink = len(cells)
+    sink = len(kept)
     graph = _join_sink(network, entry_ids)
     for center in by_center:
         # the center's degree: its B node's arcs but the one back to its A node
@@ -523,9 +522,9 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
             continue
         legs = []
         for mark, k in zip(marks, entry_ids):
-            leg = tuple(_cell_center(cells[c], level) for c in by_entry[k][:-1])  # center ... entry
+            leg = tuple(_cell_center(kept[c], level) for c in by_entry[k][:-1])  # center ... entry
             legs.append(leg + (mark.point,))
-        return CarpetStar(_cell_center(cells[center], level), tuple(legs), marks)
+        return CarpetStar(_cell_center(kept[center], level), tuple(legs), marks)
     raise RoutingError(f"no 4 disjoint corridors found at level {level}")
 
 
@@ -646,15 +645,30 @@ def _polylines_meet_only_at(a: Sequence[Point], b: Sequence[Point], allowed: Poi
 
 # --- five-carpet K5 scaffold ----------------------------------------------------
 
+def _others(i: int) -> list[int]:
+    """The four copies other than copy i, in order."""
+    return [j for j in range(5) if j != i]
+
+
 @dataclass(frozen=True)
 class K5Scaffold:
-    level: int
-    carpets: tuple[CarpetApprox, ...]                # indexed 0..4 (abstract carpets)
-    stars: tuple[CarpetStar, ...]                    # star i embedded in carpet i
-    # identification: for each unordered pair {i, j}, the peripheral square and
-    # marked point used in carpet i (key (i, j)) and in carpet j (key (j, i));
-    # the two marked points are identified as the single abstract point p_ij.
-    marks: dict[tuple[int, int], MarkedPoint] = field(hash=False)
+    """Five copies 0..4 of one carpet, star i embedded in copy i.  The stars
+    carry the identification: leg k of star i ends at the mark where copy i
+    is glued to `_others(i)[k]`.  Copies marked alike share one star."""
+    carpet: CarpetApprox
+    stars: tuple[CarpetStar, ...]
+
+    @property
+    def level(self) -> int:
+        return self.carpet.level
+
+    @cached_property
+    def marks(self) -> dict[tuple[int, int], MarkedPoint]:
+        """For each unordered pair {i, j}, the marked point used in copy i
+        (key (i, j)) and in copy j (key (j, i)); the two are identified as
+        the single abstract point p_ij."""
+        return {(i, j): mark for i, star in enumerate(self.stars)
+                for j, mark in zip(_others(i), star.marks)}
 
     def adjacency(self):
         adj = [[0] * 5 for _ in range(5)]
@@ -699,45 +713,36 @@ def _cell_edge_midpoint(cell: tuple[int, int, int], direction: str, level: int) 
 
 
 def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
-    """Five carpets, ten identified peripheral-circle pairs, five embedded
-    4-pointed stars: the combinatorial K5 certificate.  This routes only;
-    verify_k5_graph is the check of the stars and the graph."""
+    """Five copies of one carpet, ten identified peripheral-circle pairs, five
+    embedded 4-pointed stars: the combinatorial K5 certificate.  Each distinct
+    mark assignment is routed once.  This routes only; verify_k5_graph is the
+    check of the stars and the graph."""
     import random
 
     rng = random.Random(seed) if seed is not None else None
-    carpets = (build_carpet_approx(level),) * 5   # immutable, so one is shared
-    marks: dict[tuple[int, int], MarkedPoint] = {}
+    carpet = build_carpet_approx(level)
+    routed: dict[tuple[MarkedPoint, ...], CarpetStar] = {}
     stars = []
     for i in range(5):
-        others = [j for j in range(5) if j != i]
-        assigned = _default_mark_assignment(carpets[i], rng)
-        for j, mp in zip(others, assigned):
-            marks[(i, j)] = mp
-        try:
-            stars.append(embed_star_in_carpet(carpets[i], assigned))
-        except RoutingError as exc:
-            raise RoutingError(str(exc), carpet_index=i) from exc
-    return K5Scaffold(level, carpets, tuple(stars), marks)
+        assigned = tuple(_default_mark_assignment(carpet, rng))
+        if assigned not in routed:
+            try:
+                routed[assigned] = embed_star_in_carpet(carpet, assigned)
+            except RoutingError as exc:
+                raise RoutingError(str(exc), carpet_index=i) from exc
+        stars.append(routed[assigned])
+    return K5Scaffold(carpet, tuple(stars))
 
 
 def verify_k5_graph(s: K5Scaffold) -> bool:
-    """True iff the abstract graph is K5 and every star re-verifies in its
+    """True iff the abstract graph is K5 and every star re-verifies in the
     carpet (legs disjoint except at the center, peripheral contact only at the
-    designated identified points)."""
-    adj = s.adjacency()
-    for i in range(5):
-        for j in range(5):
-            expected = 0 if i == j else 1
-            if adj[i][j] != expected:
-                return False
-    for i in range(5):
-        if len(s.stars) <= i or not verify_star_in_carpet(s.carpets[i], s.stars[i]):
-            return False
-        others = [j for j in range(5) if j != i]
-        for j, mark in zip(others, s.stars[i].marks):
-            if s.marks.get((i, j)) != mark:
-                return False
-    return True
+    designated identified points).  A star shared by several copies is
+    verified once."""
+    if len(s.stars) != 5 or s.adjacency() != [[int(i != j) for j in range(5)] for i in range(5)]:
+        return False
+    distinct = {id(star): star for star in s.stars}   # by identity: a hash reads every leg
+    return all(verify_star_in_carpet(s.carpet, star) for star in distinct.values())
 
 
 def scaffold_to_json(s: K5Scaffold) -> str:
@@ -756,7 +761,7 @@ def scaffold_to_json(s: K5Scaffold) -> str:
                 "center": pt(st.center),
                 "legs": [
                     {"to_carpet": j, "polyline": [pt(p) for p in leg]}
-                    for j, leg in zip([k for k in range(5) if k != i], st.legs)
+                    for j, leg in zip(_others(i), st.legs)
                 ],
             }
             for i, st in enumerate(s.stars)
@@ -794,13 +799,13 @@ def scaffold_svg(s: K5Scaffold) -> str:
         ox, oy = centers[i]
         return (ox + float(p[0]) * cs, oy + (cs - float(p[1]) * cs))
 
-    for i, (c, star) in enumerate(zip(s.carpets, s.stars)):
+    n = 3 ** s.level
+    holes = [(x / n * cs, y / n * cs, side / n * cs) for x, y, side in s.carpet.removed]
+    for i, star in enumerate(s.stars):
         ox, oy = centers[i]
         body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
                     'fill="#e8e0d0" stroke="#555"/>')
-        n = 3 ** c.level
-        for x, y, side in c.removed:
-            x, y, side = x / n * cs, y / n * cs, side / n * cs
+        for x, y, side in holes:
             body.append(f'<rect x="{ox + x:.2f}" y="{oy + cs - y - side:.2f}" width="{side:.2f}" '
                         f'height="{side:.2f}" fill="#ffffff" stroke="#aaa" stroke-width="0.4"/>')
         for leg in star.legs:

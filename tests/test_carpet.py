@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import coxbound
 from coxbound import carpet
-from coxbound.carpet import (HOLED_DISK, CarpetApprox, CarpetStar, MarkedPoint,
-                             RoutingError, StarEmbedding, _cell_edge_midpoint,
+from coxbound.carpet import (HOLED_DISK, CarpetApprox, CarpetStar, K5Scaffold,
+                             MarkedPoint, RoutingError, StarEmbedding, _cell_edge_midpoint,
                              _default_mark_assignment, _entry_cell,
                              _is_peripheral_cell, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
@@ -387,15 +387,17 @@ def test_embed_and_verify_star():
         assert leg[-1] == mark.point
 
 
-def test_verifier_rejects_broken_star():
-    from coxbound.carpet import _default_mark_assignment
-    c = build_carpet_approx(2)
-    marks = _default_mark_assignment(c, None)
-    star = embed_star_in_carpet(c, marks)
-    # route a leg straight through the central removed square
+def _broken(star):
+    """`star` with its first leg run straight through the central removed
+    square of a level-2 carpet."""
     bad_leg = (star.center, (F(1, 2), F(1, 2)), star.legs[0][-1])
-    bad = CarpetStar(star.center, (bad_leg,) + star.legs[1:], star.marks)
-    assert not verify_star_in_carpet(c, bad)
+    return CarpetStar(star.center, (bad_leg,) + star.legs[1:], star.marks)
+
+
+def test_verifier_rejects_broken_star():
+    c = build_carpet_approx(2)
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    assert not verify_star_in_carpet(c, _broken(star))
 
 
 def test_k5_scaffold():
@@ -403,6 +405,26 @@ def test_k5_scaffold():
     assert verify_k5_graph(s)
     assert s.adjacency() == [[0 if i == j else 1 for j in range(5)] for i in range(5)]
     assert len(s.marks) == 20   # ordered pairs
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_k5_verifier_rejects_one_broken_copy(k):
+    """The unseeded copies share one star, and replacing one of them, first
+    or last, with a broken copy is caught: stars are told apart by identity."""
+    s = build_k5_scaffold(level=2)
+    stars = s.stars[:k] + (_broken(s.stars[k]),) + s.stars[k + 1:]
+    assert not verify_star_in_carpet(s.carpet, stars[k])
+    assert not verify_k5_graph(K5Scaffold(s.carpet, stars))
+    assert verify_k5_graph(K5Scaffold(s.carpet, s.stars))
+
+
+def test_k5_verifier_rejects_star_counts_and_another_level():
+    s = build_k5_scaffold(level=2, seed=1)
+    assert not verify_k5_graph(K5Scaffold(s.carpet, s.stars[:4]))
+    assert not verify_k5_graph(K5Scaffold(s.carpet, s.stars + s.stars[:1]))
+    for level in (3, 4):
+        assert not verify_k5_graph(K5Scaffold(build_carpet_approx(level), s.stars))
+    assert not verify_k5_graph(K5Scaffold(s.carpet, build_k5_scaffold(level=3).stars))
 
 
 def test_k5_scaffold_deterministic():
@@ -484,7 +506,7 @@ def _routed_stars():
     pairs = []
     for level, seed in ((2, None), (2, 1), (2, 2), (2, 5), (2, 7), (3, None)):
         s = build_k5_scaffold(level=level, seed=seed)
-        pairs.extend(zip(s.carpets, s.stars))
+        pairs.extend((s.carpet, star) for star in s.stars)
     return tuple(pairs)
 
 

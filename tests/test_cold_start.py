@@ -93,11 +93,15 @@ def test_carpet_nx_attribute_reaches_the_router():
             calls.append(args[1])
             return original.node_disjoint_paths(*args, **kwargs)
 
-    expected = scaffold_to_json(build_k5_scaffold(2))
+    # a seeded scaffold routes five distinct stars
+    expected = scaffold_to_json(build_k5_scaffold(2, seed=0))
     carpet.nx = CountingRouter()
     try:
-        routed = scaffold_to_json(build_k5_scaffold(2))
+        routed = scaffold_to_json(build_k5_scaffold(2, seed=0))
     finally:
         carpet.nx = original
-    assert len(calls) >= 5                # at least one candidate center per carpet
+    assert len(calls) >= 5                # at least one candidate center per star
     assert routed == expected
+    # the unseeded one marks every copy alike, so its five copies share one star
+    unseeded = build_k5_scaffold(2)
+    assert all(star is unseeded.stars[0] for star in unseeded.stars)

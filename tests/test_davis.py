@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +50,20 @@ def test_interior_link_matches_nerve():
     assert link_matches_nerve(link, nerve)
     # the identity sits in one hexagon per generator pair
     assert len(link.edges) == 3
+
+
+def test_link_mismatches_rejected():
+    """A link with a direction missing, a corner missing, or one corner's
+    angle wrong does not match the nerve."""
+    sysm = complete_graph_system(3)
+    nerve = build_nerve(sysm)
+    link = vertex_link(build_davis_ball(sysm, 5), ())
+    first, *rest = link.edges
+    assert not link_matches_nerve(replace(link, vertices=link.vertices[1:]), nerve)
+    assert not link_matches_nerve(replace(link, edges=tuple(rest)), nerve)
+    wrong = {**link.angles, first: link.angles[first] / 2}
+    assert not link_matches_nerve(replace(link, angles=wrong), nerve)
+    assert link_matches_nerve(replace(link, angles=dict(link.angles)), nerve)
 
 
 def test_link_rejects_frontier_vertex():

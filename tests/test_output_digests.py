@@ -5,7 +5,8 @@ orbit walks became one, and the level-3 and seeded scaffold digests from the
 code before the carpet kept only its level; the report and nerve digests from
 the code before the nerve was decided from the labels and the report got its
 own JSON writer; the level-4 and level-5 carpet and level-3 scaffold drawings
-from the code that still drew them from `Fraction` squares.  A refactor of
+from the code that still drew them from `Fraction` squares; the level-4
+scaffold from the code that still routed one star per copy.  A refactor of
 those paths has to keep every byte."""
 
 import hashlib
@@ -67,6 +68,10 @@ DIGESTS = {
         "d2af9b9d05f54992d7cff3fc3098dcd18b8a96c385e72fd1ca3393ac42edca54",
     "scaffold_to_json level 2 seed 1":
         "14f4d8e4ef65b52604f16b961663b427744a19f98e25bfb603d6fc6ebb8e736b",
+    "scaffold_to_json level 4":
+        "e64ef0fb9b4c9e28c616b1ff16701d44cb45802024f7b280c3544dcd1a9feb69",
+    "scaffold_svg level 4":
+        "24629fb95740c170b32231ceb3df4a89617dd5108030dabeeee1d76650e82afc",
 }
 
 
@@ -86,6 +91,9 @@ def _outputs():
     yield "scaffold_to_json level 3", scaffold_to_json(level_3)
     yield "scaffold_svg level 3", scaffold_svg(level_3)
     yield "scaffold_to_json level 2 seed 1", scaffold_to_json(build_k5_scaffold(2, seed=1))
+    level_4 = build_k5_scaffold(4)
+    yield "scaffold_to_json level 4", scaffold_to_json(level_4)
+    yield "scaffold_svg level 4", scaffold_svg(level_4)
 
 
 def test_output_bytes_pinned():

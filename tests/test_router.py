@@ -76,7 +76,8 @@ def _networkx_embed_star(c, marks):
 def test_router_paths_match_networkx_on_the_corridor_graph(data):
     level = data.draw(st.integers(1, 3), label="level")
     c = build_carpet_approx(level)
-    cells, _, network, _ = c.corridors
+    _, network, _ = c.corridors
+    cells = [(i, j) for i, j, _ in c.kept]
     picks = data.draw(st.lists(st.sampled_from(range(len(cells))), min_size=1, max_size=5,
                                unique=True), label="center and entries")
     center, entry_ids = picks[0], picks[1:]      # entries in drawn order; none: no path
@@ -121,7 +122,9 @@ def test_join_sink_is_the_residual_network_with_the_sink(data):
     """Joining the sink to a built network lists the same arcs, in the same
     order and direction, as building the network with the sink in it."""
     level = data.draw(st.integers(1, 3), label="level")
-    cells, _, network, _ = build_carpet_approx(level).corridors
+    c = build_carpet_approx(level)
+    _, network, _ = c.corridors
+    cells = c.kept
     entry_ids = data.draw(st.lists(st.sampled_from(range(len(cells))), max_size=4,
                                    unique=True), label="entries")
     adj = [[v >> 1 for v, _ in arcs[1:]] for arcs in network[1::2]]

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import math
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,70 @@ def test_finite_type_matches_todd_coxeter(data):
     else:
         assert not table.complete
         assert table.order is None
+
+
+def _gram_finite(sysm):
+    """Finite iff the cosine matrix is positive definite.  At rank <= 9 with
+    finite labels <= 6 a finite type's least eigenvalue is at least
+    1 - cos(pi/30) ~ 0.0055 (E8, H4), and an infinite one's is <= 0, so the
+    float eigenvalues decide it with room to spare."""
+    return np.linalg.eigvalsh(cosine_matrix(sysm))[0] > 1e-9
+
+
+@st.composite
+def tree_biased_systems(draw):
+    """Rank 5-9 systems drawn around a random tree: generator k > 0 is joined
+    to an earlier one (often the previous) by a label from {2, ..., 6}, and up
+    to two more pairs get a label from {3, ..., 6, inf}; other pairs commute."""
+    n = draw(st.integers(5, 9), label="rank")
+    gens = "abcdefghi"[:n]
+    labels = {(s, t): 2 for i, s in enumerate(gens) for t in gens[i + 1:]}
+    for k in range(1, n):
+        parent = k - 1 if draw(st.booleans()) else draw(st.integers(0, k - 1))
+        labels[(gens[parent], gens[k])] = draw(st.sampled_from([2, 3, 3, 3, 3, 4, 5, 6]))
+    for _ in range(draw(st.integers(0, 2), label="extra pairs")):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        labels[(gens[i], gens[j])] = draw(st.sampled_from([3, 4, 5, 6, INF]))
+    return make_system(gens, labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_biased_systems())
+def test_finite_type_matches_gram_matrix(sysm):
+    assert is_finite_type(sysm, sysm.generators).finite == _gram_finite(sysm)
+
+
+def _tree(edges):
+    """A system on the letters of `edges` ("ab bc ..."), each joined pair
+    labelled 3 and the others 2."""
+    gens = sorted(set(edges.replace(" ", "")))
+    labels = {(s, t): 2 for i, s in enumerate(gens) for t in gens[i + 1:]}
+    labels.update({(e[0], e[1]): 3 for e in edges.split()})
+    return make_system(gens, labels)
+
+
+# simply-laced affine diagrams: two branch points or a node of degree 4
+# (D~4, D~6), or a branch point whose arms are neither (1, 1, k) nor
+# (1, 2, 2..4) (E~6, E~7, E~8)
+AFFINE_TREES = {
+    "D~4": "ab ac ad ae",
+    "D~6": "ab ac ad de ef eg",
+    "E~6": "ab bc cd de cf fg",
+    "E~7": "ab bc cd de ef fg dh",
+    "E~8": "ab bc cd de ef fg gh ci",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_TREES))
+def test_affine_trees_are_infinite(name):
+    sysm = _tree(AFFINE_TREES[name])
+    assert not is_finite_type(sysm, sysm.generators).finite
+    assert not _gram_finite(sysm)
+    # every proper subdiagram of an affine diagram is spherical
+    for g in sysm.generators:
+        rest = [h for h in sysm.generators if h != g]
+        assert is_finite_type(sysm, rest).finite
 
 
 # generator names are any tokens without whitespace or "#"
