@@ -16,13 +16,12 @@ from .classify import (BoundaryClass, ClassificationReport, classify_boundary,
 from .davis import (DavisBall, LinkGraph, build_davis_ball, ball_to_json,
                     euler_characteristic, link_matches_nerve,
                     tessellation_svg, tessellation_triangles, vertex_link)
-from .nerve import (NerveComplex, build_nerve, is_complete_1d_nerve,
-                    is_planar, nerve_to_json)
+from .nerve import NerveComplex, build_nerve, is_complete_1d_nerve, nerve_to_json
 from .system import (INF, CoxeterSystem, FiniteTypeVerdict, PresentationError,
-                     TriangleType, complete_graph_system, cosine_matrix,
-                     format_system, geometric_representation,
-                     irreducible_components, is_finite_type, make_system,
-                     parse_system, subgroup_order, triangle_type)
+                     complete_graph_system, cosine_matrix, format_system,
+                     geometric_representation, irreducible_components,
+                     is_finite_type, make_system, parse_system,
+                     subgroup_order, triangle_type)
 from .words import (COSET_BACKEND, CayleyBall, CosetTable, NormalForm,
                     cayley_ball, spherical_triangle_order, tits_normal_form,
                     todd_coxeter_enumerate, words_equal)

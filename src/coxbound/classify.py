@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .nerve import NerveComplex, is_complete_1d_nerve
-from .system import (EUCLIDEAN, HYPERBOLIC, INF, CoxeterSystem, TriangleType,
-                     is_finite_type)
+from .system import EUCLIDEAN, HYPERBOLIC, INF, CoxeterSystem, is_finite_type, triangle_type
 
 CIRCLE = "Circle"
 SIERPINSKI_CARPET = "SierpinskiCarpet"
@@ -45,10 +45,11 @@ class ClassificationReport:
     citations: tuple[str, ...]
 
     @property
-    def triangle_census(self) -> tuple[tuple[tuple[str, str, str], TriangleType], ...]:
-        """(triple, type) for every 3-subset, in `combinations` order: the
-        system's census, which classification does not build; read on demand."""
-        return tuple(self.system.triangle_census.items())
+    def triangle_census(self) -> tuple[tuple[tuple[str, str, str], str], ...]:
+        """(triple, kind) for every 3-subset, in `combinations` order;
+        classification does not need it, so it is computed when read."""
+        sys = self.system
+        return tuple((t, triangle_type(sys, t)) for t in combinations(sys.generators, 3))
 
 
 def serre_fa_criterion(sys: CoxeterSystem) -> bool:
@@ -63,7 +64,7 @@ def euclidean_triple_scan(sys: CoxeterSystem) -> list[tuple[str, str, str]]:
     in `combinations` order, read from the system's non-hyperbolic triples."""
     gens = sys.generators
     return [(gens[i], gens[j], gens[k])
-            for i, j, k, tt in sys.non_hyperbolic_triples if tt.kind == EUCLIDEAN]
+            for i, j, k, kind in sys.non_hyperbolic_triples if kind == EUCLIDEAN]
 
 
 def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:

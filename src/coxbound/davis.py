@@ -50,7 +50,7 @@ def build_davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     # the nerve has a 2-simplex iff some triple is spherical
-    if any(tt.kind == SPHERICAL for *_, tt in sys.non_hyperbolic_triples):
+    if any(kind == SPHERICAL for *_, kind in sys.non_hyperbolic_triples):
         raise ValueError("Davis ball requires a nerve of dimension <= 1 (2-complex regime)")
     ball = cayley_ball(sys, radius)
     ctx = word_context(sys)
@@ -159,7 +159,7 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         raise ValueError("tessellation requires a complete K_3 nerve (all m_st finite)")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    kind = triangle_type(sys, sys.generators).kind.lower()
+    kind = triangle_type(sys, sys.generators).lower()
     if kind == "euclidean":
         # affine case: the Tits chamber degenerates (vertices hit the form's
         # kernel), so build the Euclidean triangle directly and unfold it by

@@ -1,4 +1,4 @@
-"""Nerve complex of a Coxeter system: simplices, dimension, planarity.
+"""Nerve complex of a Coxeter system: simplices and dimension.
 
 Simplices are the finite-type generator subsets.  Edge lengths carry the
 angular metric: edge {s,t} has length (1 - 1/m_st) * pi, stored as the exact
@@ -11,14 +11,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .system import SPHERICAL, CoxeterSystem, is_finite_type
-
-# networkx is imported inside the functions that use it, not at module import:
-# only `graph` and `is_planar` use it, and the classify path never loads it.
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -37,14 +31,6 @@ class NerveComplex:
     def edges(self) -> list[tuple[str, str]]:
         return [s for s in self.simplices if len(s) == 2]
 
-    def graph(self) -> nx.Graph:
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges())
-        return g
-
 
 @lru_cache(maxsize=128)
 def edge_length_fraction(m: int) -> Fraction:
@@ -60,7 +46,7 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     labels a, b, c satisfy 1/a + 1/b + 1/c > 1; such a triple has a label 2
     (three labels >= 3 give a sum <= 1), so the 2-simplices are the spherical
     entries of `CoxeterSystem.non_hyperbolic_triples`, found from the label-2
-    and label-3 masks, in the same order (no triangle census is built).
+    and label-3 masks, in the same order (no other walk over triples).
     `classify_boundary` and `build_davis_ball` build no nerve: they read the
     same triples.  Larger subsets extend the previous level (finite type is
     downward closed): a candidate needs every facet stored, and goes through
@@ -73,7 +59,7 @@ def build_nerve(sys: CoxeterSystem, max_dim: int = 2) -> NerveComplex:
     simplices = list(edge_lengths)
     level = []
     if max_dim >= 2:
-        level = [(i, j, k) for i, j, k, tt in sys.non_hyperbolic_triples if tt.kind == SPHERICAL]
+        level = [(i, j, k) for i, j, k, kind in sys.non_hyperbolic_triples if kind == SPHERICAL]
         simplices += [(gens[i], gens[j], gens[k]) for i, j, k in level]
     for size in range(4, max_dim + 2):
         prev_set = set(level)
@@ -99,16 +85,6 @@ def is_complete_1d_nerve(n: NerveComplex) -> tuple[bool, int | None]:
     if not edges or len(edges) != len(n.simplices) or len(edges) != nv * (nv - 1) // 2:
         return False, None
     return True, nv
-
-
-def is_planar(n: NerveComplex) -> bool:
-    """Planarity of the nerve 1-skeleton; only defined in the 1-dimensional case."""
-    if n.dimension > 1:
-        raise ValueError("planarity is only defined for nerves of dimension <= 1")
-    import networkx as nx
-
-    planar, _ = nx.check_planarity(n.graph())
-    return planar
 
 
 def nerve_to_json(sys: CoxeterSystem, n: NerveComplex) -> str:

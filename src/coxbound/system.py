@@ -117,26 +117,8 @@ class CoxeterSystem:
                      for j in range(i + 1, mask.bit_length()) if mask >> j & 1)
 
     @cached_property
-    def triangle_census(self) -> dict[tuple[str, str, str], TriangleType]:
-        """The triangle type of every 3-subset of generators, keyed in
-        `combinations(generators, 3)` order.  Read from the label rows, each
-        entry by the same integer comparison as `triangle_type`; built only
-        when first read and shared by every reader; callers must not modify it."""
-        gens = self.generators
-        rows = self.label_rows
-        n = len(gens)
-        census = {}
-        for i in range(n):
-            ri, gi = rows[i], gens[i]
-            for j in range(i + 1, n):
-                rj, gj, a = rows[j], gens[j], ri[j]
-                for k in range(j + 1, n):
-                    census[gi, gj, gens[k]] = _triangle(a, rj[k], ri[k])
-        return census
-
-    @cached_property
-    def non_hyperbolic_triples(self) -> tuple[tuple[int, int, int, TriangleType], ...]:
-        """(i, j, k, type) for every triple of positions i < j < k whose type
+    def non_hyperbolic_triples(self) -> tuple[tuple[int, int, int, str], ...]:
+        """(i, j, k, kind) for every triple of positions i < j < k whose kind
         is not hyperbolic, in `combinations` order; built when first read.
 
         Three labels >= 3 give 1/a + 1/b + 1/c <= 1, with equality only at
@@ -148,7 +130,7 @@ class CoxeterSystem:
         for infinity, the vertices labelled 2 to both; otherwise the vertices
         labelled 2 to one of them and finite to the other, and for 3 also the
         vertices labelled 3 to both.  Each candidate goes once through
-        `_triangle`, with its labels in the census's order."""
+        `_triangle`, with its labels in `triangle_type`'s order."""
         rows = self.label_rows
         fin = self.finite_masks
         n = len(rows)
@@ -170,9 +152,9 @@ class CoxeterSystem:
                         third |= three[i] & three[j]
                 for k in range(j + 1, third.bit_length()):
                     if third >> k & 1:
-                        tt = _triangle(m, rj[k], ri[k])
-                        if tt.kind != HYPERBOLIC:
-                            triples.append((i, j, k, tt))
+                        kind = _triangle(m, rj[k], ri[k])
+                        if kind != HYPERBOLIC:
+                            triples.append((i, j, k, kind))
         return tuple(triples)
 
     def pairs(self):
@@ -261,18 +243,12 @@ EUCLIDEAN = "Euclidean"
 HYPERBOLIC = "Hyperbolic"
 
 
-@dataclass(frozen=True)
-class TriangleType:
-    kind: str
-    triple: tuple[float, float, float]
-
-
-def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
-    """Spherical / Euclidean / Hyperbolic by an exact integer comparison
+def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> str:
+    """SPHERICAL, EUCLIDEAN or HYPERBOLIC by an exact integer comparison
     (ValueError for a name that is not a generator).
 
     The labels (m_rs, m_st, m_rt) go to `_triangle`, the one triangle-type
-    computation, which the census and the nerve call on label rows as well.
+    computation, which `non_hyperbolic_triples` calls on label rows as well.
     """
     trip = tuple(triple)
     if len(set(trip)) != 3:
@@ -282,10 +258,8 @@ def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> TriangleType:
     return _triangle(rows[r][s], rows[s][t], rows[r][t])
 
 
-# typed: 3 and 3.0 are separate entries, so `TriangleType.triple` keeps the
-# label types it was given
-@lru_cache(maxsize=4096, typed=True)
-def _triangle(a: float, b: float, c: float) -> TriangleType:
+@lru_cache(maxsize=4096)
+def _triangle(a: float, b: float, c: float) -> str:
     """The triangle type of labels a, b, c.  The reciprocal sum is compared
     with 1 with its denominators cleared: num / den accumulates 1/m over the
     finite labels, so for finite labels this compares ab + bc + ca with abc;
@@ -296,12 +270,10 @@ def _triangle(a: float, b: float, c: float) -> TriangleType:
             m = int(m)
             num, den = num * m + den, den * m
     if num > den:
-        kind = SPHERICAL
-    elif num == den:
-        kind = EUCLIDEAN
-    else:
-        kind = HYPERBOLIC
-    return TriangleType(kind, (a, b, c))
+        return SPHERICAL
+    if num == den:
+        return EUCLIDEAN
+    return HYPERBOLIC
 
 
 # --- irreducible components and finite-type recognition ---------------------

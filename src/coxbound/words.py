@@ -335,12 +335,9 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
         return new
 
     def rep(k: int) -> int:
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:              # path compression
-            p[k], k = r, p[k]
-        return r
+        while p[k] != k:
+            k = p[k]
+        return k
 
     def merge(a: int, b: int, queue: list[int]) -> None:
         a, b = rep(a), rep(b)

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coxbound
 from coxbound import carpet
-from coxbound.carpet import (HOLED_DISK, CarpetApprox, CarpetStar, K5Scaffold,
+from coxbound.carpet import (HOLED_DISK, T_RANGE, CarpetApprox, CarpetStar, K5Scaffold,
                              MarkedPoint, RoutingError, StarEmbedding, _cell_edge_midpoint,
                              _default_mark_assignment, _entry_cell,
                              _is_peripheral_cell, build_carpet_approx,
@@ -311,6 +311,41 @@ def test_star_family_point_endpoints():
         assert star_family_point(t, i, F(0)) == star.center
         assert star_family_point(t, i, F(1)) == p
         assert star.leg(i) == (star.center, p)
+
+
+def _nearest_on_segment(o, a, b):
+    """The point of segment ab nearest to o: the projection of o onto the
+    line, clamped to the segment, all in exact rationals."""
+    v = (b[0] - a[0], b[1] - a[1])
+    s = ((o[0] - a[0]) * v[0] + (o[1] - a[1]) * v[1]) / (v[0] ** 2 + v[1] ** 2)
+    return lerp(a, b, min(max(s, F(0)), F(1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(*T_RANGE))
+@example(T_RANGE[0])
+@example(F(0))
+@example(T_RANGE[1])
+def test_star_family_lies_in_holed_disk(t):
+    """Each leg of the star at t meets the closed hole disks only at its own
+    tip, which lies on its hole's circle, and stays in the closed unit disk,
+    touching the circle only at p4.  The squared distance to a point is
+    strictly convex along a segment, so its minimum over a leg is taken at
+    one point only, and its maximum only at an end."""
+    disk = HOLED_DISK
+    r2 = disk.hole_radius ** 2
+    origin = (F(0), F(0))
+    star = StarEmbedding(t)
+    for i in range(1, 5):
+        center, tip = star.leg(i)
+        for j, hole in enumerate(disk.hole_centers, start=1):
+            nearest = _nearest_on_segment(hole, center, tip)
+            if i == j:
+                assert nearest == tip and dist2(hole, tip) == r2, (t, i)
+            else:
+                assert dist2(hole, nearest) > r2, (t, i, j)
+        assert dist2(origin, center) < 1
+        assert dist2(origin, tip) == 1 if i == 4 else dist2(origin, tip) < 1, (t, i)
 
 
 def test_leg_families_disjoint_away_from_tips():

@@ -3,8 +3,9 @@
 Each command runs through `cli.main` in a fresh interpreter that imports the
 package from `src`, and then reports which of the two modules it loaded:
 `tessellate` is the one command that needs numpy.  The carpet router of `k5`
-runs on integer arrays, so no command loads networkx; only
-`NerveComplex.graph` and `is_planar` import it.
+runs on integer arrays, so no command loads networkx; it is a test
+dependency only, and `tests/test_networkx_guard.py` checks that no library
+module imports it.
 """
 
 import json

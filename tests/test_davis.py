@@ -191,7 +191,7 @@ def test_tessellation_matches_float_key_oracle(sysm, depth):
         # the oracle drew a hyperbolic chamber twice (the example above: 906
         # polygons for 903 chambers); the orbit draws the oracle's polygons in
         # its order, each once
-        assert triangle_type(sysm, sysm.generators).kind == HYPERBOLIC
+        assert triangle_type(sysm, sysm.generators) == HYPERBOLIC
         assert _polygons(svg) == list(dict.fromkeys(drawn))
 
 

@@ -3,8 +3,8 @@
 The bodies below are the readers as they were when each looked its labels up
 by generator name, through `CoxeterSystem.m` and `pairs`: the Coxeter matrix
 behind `WordContext`, `coxeter_relators`, the dihedral pairs of
-`build_davis_ball`, the finite-type diagram match, `cosine_matrix`,
-`format_system` and `nerve_to_json`.  The positional readers must give the
+`build_davis_ball`, the finite-type diagram match, `triangle_type`,
+`cosine_matrix`, `format_system` and `nerve_to_json`.  The positional readers must give the
 same results and the same bytes.
 """
 
@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coxbound.nerve import build_nerve, nerve_to_json
-from coxbound.system import (INF, CoxeterSystem, cosine_matrix, format_system,
-                             irreducible_components, is_finite_type, make_system,
-                             triangle_type)
+from coxbound.system import (INF, CoxeterSystem, _triangle, cosine_matrix,
+                             format_system, irreducible_components, is_finite_type,
+                             make_system, triangle_type)
 from coxbound.words import _small_root_table, coxeter_relators, word_context
 
 
@@ -156,6 +156,11 @@ def oracle_is_finite_type(sys, subset):
     return (True, tuple(names))
 
 
+def oracle_triangle_type(sys, triple):
+    r, s, t = triple
+    return _triangle(sys.m(r, s), sys.m(s, t), sys.m(r, t))
+
+
 def oracle_cosine_matrix(sys):
     n = sys.rank
     B = np.eye(n)
@@ -242,9 +247,8 @@ def test_position_readers_match_name_keyed_oracles(data):
             verdict = is_finite_type(sysm, subset)
             assert (verdict.finite, verdict.witness) == oracle_is_finite_type(sysm, subset)
             assert irreducible_components(sysm, subset) == oracle_components(sysm, subset)
-    for trip in combinations(gens, 3):
-        r, s, t = trip
-        assert triangle_type(sysm, trip).triple == (sysm.m(r, s), sysm.m(s, t), sysm.m(r, t))
+    for trip in combinations(order, 3):
+        assert triangle_type(sysm, trip) == oracle_triangle_type(sysm, trip)
 
     assert cosine_matrix(sysm).tobytes() == oracle_cosine_matrix(sysm).tobytes()
     assert format_system(sysm) == oracle_format_system(sysm)

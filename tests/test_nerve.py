@@ -2,75 +2,15 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxbound.classify import classify_boundary
 from coxbound.nerve import (NerveComplex, build_nerve, edge_length_fraction,
-                            is_complete_1d_nerve, is_planar, nerve_to_json)
+                            is_complete_1d_nerve, nerve_to_json)
 from coxbound.system import (INF, SPHERICAL, _triangle, complete_graph_system,
-                             is_finite_type, make_system, triangle_type)
-
-
-# --- independent planarity oracle: Wagner's theorem by brute-force minors ------
-
-def _edgeset(g: nx.Graph) -> frozenset:
-    return frozenset(frozenset(e) for e in g.edges())
-
-
-def _contains_k5(g: nx.Graph) -> bool:
-    return any(all(g.has_edge(u, v) for u, v in combinations(vs, 2))
-               for vs in combinations(g.nodes(), 5))
-
-
-def _contains_k33(g: nx.Graph) -> bool:
-    nodes = list(g.nodes())
-    for left in combinations(nodes, 3):
-        rest = [v for v in nodes if v not in left]
-        for right in combinations(rest, 3):
-            if all(g.has_edge(u, v) for u in left for v in right):
-                return True
-    return False
-
-
-def _has_forbidden_minor(g: nx.Graph, memo=None) -> bool:
-    """K5 or K3,3 minor by exhaustive edge contraction; fine for <= 8 vertices."""
-    if memo is None:
-        memo = {}
-    key = _edgeset(g)
-    if key in memo:
-        return memo[key]
-    ans = _contains_k5(g) or _contains_k33(g)
-    if not ans:
-        for u, v in list(g.edges()):
-            h = nx.contracted_nodes(g, u, v, self_loops=False)
-            if _has_forbidden_minor(h, memo):
-                ans = True
-                break
-    memo[key] = ans
-    return ans
-
-
-def planar_oracle(g: nx.Graph) -> bool:
-    return not _has_forbidden_minor(g)
-
-
-def test_oracle_on_known_graphs():
-    assert planar_oracle(nx.complete_graph(4))
-    assert not planar_oracle(nx.complete_graph(5))
-    assert not planar_oracle(nx.complete_bipartite_graph(3, 3))
-    assert planar_oracle(nx.cycle_graph(8))
-    assert planar_oracle(nx.wheel_graph(7))
-
-
-def test_oracle_agrees_with_library_on_random_graphs():
-    rng = random.Random(11)
-    for trial in range(40):
-        n = rng.randrange(4, 8)
-        p = rng.uniform(0.3, 0.8)
-        g = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
-        assert planar_oracle(g) == nx.check_planarity(g)[0], f"trial {trial}"
+                             is_finite_type, make_system)
+from test_system import fraction_kind
 
 
 # --- nerve construction ---------------------------------------------------------
@@ -123,23 +63,6 @@ def test_infinite_pair_omitted():
     assert nerve.dimension == 1
 
 
-def test_planarity_of_nerves():
-    assert is_planar(build_nerve(complete_graph_system(3)))
-    assert is_planar(build_nerve(complete_graph_system(4)))
-    assert not is_planar(build_nerve(complete_graph_system(5)))
-    assert not is_planar(build_nerve(complete_graph_system(6)))
-    # cross-check against the independent oracle
-    for n in (3, 4, 5, 6):
-        nerve = build_nerve(complete_graph_system(n))
-        assert is_planar(nerve) == planar_oracle(nerve.graph())
-
-
-def test_is_planar_requires_dimension_1():
-    sysm = make_system("xyz", {("x", "y"): 2, ("y", "z"): 3, ("x", "z"): 3})
-    with pytest.raises(ValueError):
-        is_planar(build_nerve(sysm))
-
-
 def test_nerve_json_deterministic():
     sysm = complete_graph_system(4)
     j1 = nerve_to_json(sysm, build_nerve(sysm))
@@ -182,8 +105,8 @@ def test_nerve_tetrahedra_match_brute_force():
 # The walk below is `build_nerve` as it was before it read label rows and bit
 # masks: every level extends the previous one by a later generator, keeps the
 # candidates whose facets are all stored, and decides them by name (an edge by
-# its label, a triple by the triangle census, larger subsets by diagram
-# matching).
+# its label, a triple by its `Fraction` reciprocal sum, larger subsets by
+# diagram matching).
 
 def _walk_nerve(sys, max_dim=2):
     gens = sys.generators
@@ -216,8 +139,12 @@ def _walk_finite_type(sys, cand):
     if len(cand) == 2:
         return sys.m(*cand) != INF
     if len(cand) == 3:
-        return sys.triangle_census[cand].kind == SPHERICAL
+        return _fraction_kind(sys, cand) == SPHERICAL
     return is_finite_type(sys, cand).finite
+
+
+def _fraction_kind(sys, trip):
+    return fraction_kind([sys.m(s, t) for s, t in combinations(trip, 2)])
 
 
 _NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h", "x1", "x2", "zz", "Q"]
@@ -228,7 +155,7 @@ _NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h", "x1", "x2", "zz", "Q"]
 def test_nerve_and_census_match_level_walk(data):
     rank = data.draw(st.integers(1, 8), label="rank")
     gens = data.draw(st.permutations(_NAME_POOL), label="names")[:rank]
-    # integer and float labels: the census keeps the types it reads
+    # integer and float labels
     label = st.sampled_from([2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 6.0])
     sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
     max_dim = data.draw(st.integers(1, 4), label="max_dim")
@@ -237,12 +164,10 @@ def test_nerve_and_census_match_level_walk(data):
     assert nerve == expected
     assert list(nerve.edge_lengths) == list(expected.edge_lengths)
     assert nerve_to_json(sysm, nerve) == nerve_to_json(sysm, expected)
-    census = sysm.triangle_census
-    assert list(census) == list(combinations(gens, 3))
-    for trip, tt in census.items():
-        direct = triangle_type(sysm, trip)
-        assert tt == direct
-        assert [type(m) for m in tt.triple] == [type(m) for m in direct.triple]
+    census = classify_boundary(sysm).triangle_census
+    assert [trip for trip, _ in census] == list(combinations(gens, 3))
+    for trip, kind in census:
+        assert kind == _fraction_kind(sysm, trip), trip
 
 
 def test_sparse_nerve_builds_no_census():
@@ -256,6 +181,5 @@ def test_sparse_nerve_builds_no_census():
     nerve = build_nerve(sysm)
     info = _triangle.cache_info()
     assert info.hits + info.misses == 1
-    assert "triangle_census" not in sysm.__dict__
     assert len(nerve.edges()) == 24
     assert [s for s in nerve.simplices if len(s) == 3] == [("s10", "s11", "s12")]

@@ -102,10 +102,17 @@ def test_label_rows_and_masks():
 
 
 def test_triangle_type_trichotomy():
-    assert triangle_type(triangle(2, 3, 5), "xyz").kind == "Spherical"
-    assert triangle_type(triangle(3, 3, 3), "xyz").kind == "Euclidean"
-    assert triangle_type(triangle(2, 3, 7), "xyz").kind == "Hyperbolic"
-    assert triangle_type(triangle(2, 3, INF), "xyz").kind == "Hyperbolic"
+    assert triangle_type(triangle(2, 3, 5), "xyz") == "Spherical"
+    assert triangle_type(triangle(3, 3, 3), "xyz") == "Euclidean"
+    assert triangle_type(triangle(2, 3, 7), "xyz") == "Hyperbolic"
+    assert triangle_type(triangle(2, 3, INF), "xyz") == "Hyperbolic"
+
+
+def fraction_kind(ms):
+    """The triangle type of labels ms from their reciprocal sum as a Fraction
+    compared with 1 (an infinite label adds 0): the oracle of `triangle_type`."""
+    total = sum((Fraction(1, int(m)) for m in ms if m != INF), Fraction(0))
+    return "Spherical" if total > 1 else "Euclidean" if total == 1 else "Hyperbolic"
 
 
 def test_triangle_kind_matches_fraction_sum():
@@ -113,11 +120,7 @@ def test_triangle_kind_matches_fraction_sum():
     label triple over {2, ..., 12, inf}."""
     labels = list(range(2, 13)) + [INF]
     for ms in product(labels, repeat=3):
-        total = sum((Fraction(1, m) for m in ms if m != INF), Fraction(0))
-        expected = ("Spherical" if total > 1 else "Euclidean" if total == 1
-                    else "Hyperbolic")
-        tt = triangle_type(triangle(*ms), "xyz")
-        assert (tt.kind, tt.triple) == (expected, ms), ms
+        assert triangle_type(triangle(*ms), "xyz") == fraction_kind(ms), ms
 
 
 _NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -126,19 +129,17 @@ _NAME_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_non_hyperbolic_triples_match_census(data):
-    # the label-2 and label-3 masks find exactly the census's entries that are
-    # not hyperbolic: the same positions, types and label types, in its order
+    # the label-2 and label-3 masks find exactly the triples whose Fraction
+    # reciprocal sum is at least 1: the same positions and kinds, in
+    # `combinations` order
     rank = data.draw(st.integers(1, 8), label="rank")
     gens = data.draw(st.permutations(_NAME_POOL), label="names")[:rank]
     label = st.sampled_from([2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 6.0])
     sysm = make_system(gens, {pair: data.draw(label) for pair in combinations(gens, 2)})
-    position = {g: i for i, g in enumerate(gens)}
-    expected = [(*map(position.get, trip), tt) for trip, tt in sysm.triangle_census.items()
-                if tt.kind != HYPERBOLIC]
-    found = sysm.non_hyperbolic_triples
-    assert list(found) == expected
-    for (*_, tt), (*_, want) in zip(found, expected):
-        assert [type(m) for m in tt.triple] == [type(m) for m in want.triple]
+    census = [((i, j, k), fraction_kind((sysm.m(r, s), sysm.m(s, t), sysm.m(r, t))))
+              for (i, r), (j, s), (k, t) in combinations(enumerate(gens), 3)]
+    expected = [(*ijk, kind) for ijk, kind in census if kind != HYPERBOLIC]
+    assert list(sysm.non_hyperbolic_triples) == expected
 
 
 def test_non_hyperbolic_triples_examples():
@@ -146,8 +147,7 @@ def test_non_hyperbolic_triples_examples():
     assert complete_graph_system(6, label=4).non_hyperbolic_triples == ()
     # (2, 2, inf) is Euclidean by the integer rule; (2, 3, inf) is hyperbolic
     sysm = make_system("abcd", {("a", "b"): 2, ("b", "c"): 2, ("c", "d"): 3})
-    assert [(i, j, k, tt.kind, tt.triple) for i, j, k, tt in sysm.non_hyperbolic_triples] == [
-        (0, 1, 2, "Euclidean", (2, 2, INF))]
+    assert sysm.non_hyperbolic_triples == ((0, 1, 2, "Euclidean"),)
 
 
 def test_irreducible_components():

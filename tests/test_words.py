@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coxbound.system import INF, complete_graph_system, make_system, subgroup_order
-from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, cayley_ball,
-                            coxeter_relators, spherical_triangle_order, tits_normal_form,
+from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, _enumerate_cosets,
+                            cayley_ball, coxeter_relators, spherical_triangle_order, tits_normal_form,
                             todd_coxeter_enumerate, word_context, words_equal)
 
 
@@ -425,6 +425,43 @@ def shuffled_systems(draw):
 def test_coset_kernel_matches_row_table_oracle(sysm, cap):
     table = todd_coxeter_enumerate(sysm, sysm.generators, cap=cap)
     assert (table.complete, table.order, table.cosets_defined) == row_table_enumerate(sysm, cap)
+
+
+@st.composite
+def repeated_pair_relators(draw):
+    """(n, relators): 2-4 generators and (s, t, m) relators, m in 2-7, with at
+    least one pair named twice.  A Coxeter system gives one relator per pair,
+    and its enumerations never reach the kernel's coincidence paths below;
+    two relators on one pair collapse the group and reach all of them."""
+    n = draw(st.integers(2, 4), label="n")
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    relator = st.tuples(st.sampled_from(pairs), st.integers(2, 7)).map(lambda r: (*r[0], r[1]))
+    relators = draw(st.lists(relator, min_size=1, max_size=5), label="relators")
+    s, t, _ = draw(st.sampled_from(relators), label="repeated")
+    at = draw(st.integers(0, len(relators)), label="at")
+    relators.insert(at, (s, t, draw(st.integers(2, 7), label="m")))
+    return n, relators
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_pair_relators(), st.integers(1, 2_000))
+# each example runs a path of the kernel that Coxeter relators do not reach;
+# the comment gives the path and the (complete, order, cosets_defined) result
+# rep walks two parent links: (True, 2, 10)
+@example((2, [(0, 1, 5), (0, 1, 3)]), 2_000)
+# merge(mu, col[nu]) in a coincidence: (True, 2, 16)
+@example((3, [(0, 1, 5), (1, 2, 3), (1, 2, 2), (0, 2, 2)]), 2_000)
+# a forward walk closes the relator on another coset: (True, 2, 4)
+@example((2, [(0, 1, 2), (0, 1, 5)]), 2_000)
+# the coset being scanned dies: (True, 2, 8)
+@example((3, [(0, 2, 2), (0, 1, 2), (0, 1, 5), (1, 2, 3)]), 2_000)
+# all three, where without merge(mu, col[nu]) the table never closes: (True, 8, 204)
+@example((4, [(2, 3, 4), (0, 3, 7), (0, 2, 3), (0, 3, 4), (0, 1, 4)]), 2_000)
+def test_coset_kernel_matches_row_table_oracle_on_repeated_pairs(case, cap):
+    n, relators = case
+    words = [[s, t] * m for s, t, m in relators]
+    assert _enumerate_cosets(n, relators, cap) == _row_table_enumerate_cosets(n, words, cap)
+
 
 
 BALL_TYPES = [t for t in FINITE_TYPES if t[0] in ("A4", "B4", "D4", "F4", "H3")]
