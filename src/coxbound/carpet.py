@@ -10,9 +10,11 @@ integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
 One table, `hole_at`, answers for every cell whether it is kept and which
 removed square covers it otherwise; every other membership question reads it.
 The star-embedding router works on the corridor graph of kept cells, held as
-integer node ids and adjacency lists; its flow routine, `node_disjoint_paths`,
-is a port of networkx's node-split Edmonds-Karp to those arrays and returns
-exactly the paths networkx returns (networkx stays its oracle in the tests).
+integer node ids and increasing adjacency lists; its flow routine,
+`node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp that
+reads networkx's residual network off those lists instead of building it, and
+returns exactly the paths networkx returns (networkx stays its oracle in the
+tests).
 A verifier that shares no code with the router re-checks every output with
 the exact segment predicates, on the star's points scaled to integers and
 the removed squares it looks up from the cell grid.  The drawings read the
@@ -68,14 +70,14 @@ class CarpetApprox:
         return table
 
     @cached_property
-    def corridors(self) -> tuple[list[int], Network, list[int]]:
-        """The corridor graph of kept cells as integer arrays, built once per
+    def corridors(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """The corridor graph of kept cells as integer lists, built once per
         carpet, a node id being a position in `kept`: the node id of cell
-        (i, j) at i * 3^level + j, or -1 for a removed cell; the
-        `residual_network` of the graph whose node has the neighbours
-        (i-1, j), (i, j-1), (i, j+1), (i+1, j) that are kept, in that order;
-        and the node ids by distance from the grid center, ties in id order
-        (the router's candidate centers)."""
+        (i, j) at i * 3^level + j, or -1 for a removed cell; each node's
+        adjacency, the kept cells among (i-1, j), (i, j-1), (i, j+1),
+        (i+1, j), in that order, which is increasing id order (the router's
+        input); and the node ids by distance from the grid center, ties in id
+        order (the router's candidate centers)."""
         n = 3 ** self.level
         kept = self.kept
         index = [-1] * (n * n)
@@ -90,7 +92,7 @@ class CarpetApprox:
                                           index[r + n] if i < n - 1 else -1) if k >= 0])
         by_center = sorted(range(len(kept)), key=lambda k: (
             abs(2 * kept[k][0] + 1 - n) + abs(2 * kept[k][1] + 1 - n), k))
-        return index, residual_network(adjacency), by_center
+        return index, adjacency, by_center
 
 
 def _removed_cells(level: int) -> list[tuple[int, int, int]]:
@@ -293,77 +295,47 @@ def _is_peripheral_cell(carpet: CarpetApprox, cell: tuple[int, int, int]) -> boo
     return k >= 0 and carpet.removed[k] == cell
 
 
-Network = list[list[tuple[int, int]]]
+def _split_neighbours(adj: Sequence[Sequence[int]], u: int) -> list[int]:
+    """The neighbours of node u of networkx's residual network for the graph
+    with increasing adjacency lists `adj`, in its order, a node k being split
+    into A_k = k and B_k = ~k: the neighbours of B_k are A_k, then A_y for
+    each neighbour y of k; those of A_k are B_y for y in k and its
+    neighbours, in increasing order."""
+    if u < 0:
+        return [~u, *adj[~u]]
+    return [~y for y in sorted([u, *adj[u]])]
 
 
-def residual_network(adj: Sequence[Sequence[int]]) -> Network:
-    """networkx's residual network for node-disjoint paths in the simple
-    undirected graph whose node k has the neighbours adj[k], in insertion
-    order (the Graph with nodes 0, 1, ... and that adjacency).
+def node_disjoint_paths(adj: Sequence[Sequence[int]], s: int, t: int) -> list[list[int]]:
+    """Node-disjoint s-t paths in the simple undirected graph whose node k has
+    the neighbours adj[k], each list in increasing order: the paths, in their
+    order, that networkx's `node_disjoint_paths(G, s, t)` yields for the Graph
+    with nodes 0, 1, ... and that adjacency, or [] where it raises
+    NetworkXNoPath.
 
-    `build_auxiliary_node_connectivity` splits node k into A = 2k -> B = 2k+1
-    and turns each edge of G.edges() into the arcs B -> A both ways;
-    `build_residual_network` then pairs each of those arcs, in H.edges()
-    order, with a reverse arc.  Entry u lists (v, arc u -> v) in R.succ[u]
-    order; arc 2p is the p-th auxiliary arc (capacity 1) and 2p + 1 its
-    reverse (capacity 0).  R.pred[u] has the same node order, with arc ^ 1."""
-    size = 2 * len(adj)
-    arcs_from: list[list[int]] = [[] for _ in range(size)]   # H.succ of the B nodes
-    for k, nbrs in enumerate(adj):
-        for y in nbrs:
-            if y > k:                   # G.edges() reports {k, y} once, from k
-                arcs_from[2 * k + 1].append(2 * y)
-                arcs_from[2 * y + 1].append(2 * k)
-    network: Network = [[] for _ in range(size)]
-    arc = 0
-    for u in range(size):
-        for v in (u + 1,) if u % 2 == 0 else arcs_from[u]:
-            network[u].append((v, arc))
-            network[v].append((u, arc + 1))
-            arc += 2
-    return network
-
-
-def _join_sink(network: Network, entries: Sequence[int]) -> Network:
-    """`residual_network` of the graph with one more node, the sink, joined to
-    the nodes `entries`, from the network of the graph without it: every arc
-    the sink brings comes last in its lists, in the order the construction
-    would insert it.  `network` itself is not changed."""
-    t = len(network) // 2
-    arc = sum(map(len, network))
-    joined = network + [[], []]
-    entries = sorted(entries)
-    for e in entries:
-        joined[2 * e + 1] = joined[2 * e + 1] + [(2 * t, arc)]
-        joined[2 * t].append((2 * e + 1, arc + 1))
-        arc += 2
-    joined[2 * t].append((2 * t + 1, arc))
-    joined[2 * t + 1].append((2 * t, arc + 1))
-    arc += 2
-    for e in entries:
-        joined[2 * t + 1].append((2 * e, arc))
-        joined[2 * e] = joined[2 * e] + [(2 * t + 1, arc + 1)]
-        arc += 2
-    return joined
-
-
-def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
-    """Node-disjoint s-t paths over a `residual_network`: the paths, in their
-    order, that networkx's `node_disjoint_paths(G, s, t)` yields for its
-    graph, or [] where it raises NetworkXNoPath.
-
-    A port of networkx's flow to integer arrays, step for step:
+    A port of networkx's flow, step for step, that reads its residual network
+    off `adj`.  `build_auxiliary_node_connectivity` splits node k into
+    A_k -> B_k and each edge {k, y} into the arcs B_k -> A_y and B_y -> A_k,
+    all of capacity 1; `build_residual_network` pairs each arc with a reverse
+    arc of capacity 0, in the order `_split_neighbours` gives.  An arc's
+    residual capacity follows from the set of arcs that carry flow.
     `edmonds_karp` augments along bidirectional BFS paths, expanding the
     smaller frontier (ties to the source side), up to min(deg s, deg t)
-    paths; and `edge_disjoint_paths` walks the saturated arcs from s, taking
-    each node's last one first and dropping dead ends."""
-    # H.out_degree(B_s) and H.in_degree(A_t): each list holds one arc of the split
-    cutoff = min(len(network[2 * s + 1]), len(network[2 * t])) - 1
-    if not cutoff:
-        return []
-    res = [1, 0] * (sum(map(len, network)) // 2)      # capacity - flow, per arc
-    source, target = 2 * s + 1, 2 * t
+    paths; and `edge_disjoint_paths` follows the flow arcs out of s."""
+    # H.out_degree(B_s) and H.in_degree(A_t)
+    cutoff = min(len(adj[s]), len(adj[t]))
+    source, target = ~s, t
+    flow: set[tuple[int, int]] = set()      # the arcs u -> v that carry flow
+    busy: set[int] = set()                  # the nodes of every augmenting path
 
+    def residual(u: int, v: int) -> bool:
+        """Whether arc u -> v has residual capacity: an arc of the split
+        graph, A_k -> B_k or B_k -> A_y, unless it carries flow; a reverse
+        arc if the arc it reverses does."""
+        return (u, v) not in flow if (v == ~u) == (u >= 0) else (v, u) in flow
+
+    # At a node no flow arc touches, only the split graph's arcs have residual
+    # capacity: B_k -> A_y, read off adj[k] itself, and A_k -> B_k.
     def bidirectional_bfs():
         pred = {source: None}
         succ = {target: None}
@@ -372,8 +344,12 @@ def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
             q = []
             if len(q_s) <= len(q_t):
                 for u in q_s:
-                    for v, e in network[u]:
-                        if res[e] and v not in pred:
+                    if u in busy:
+                        vs = [v for v in _split_neighbours(adj, u) if residual(u, v)]
+                    else:
+                        vs = adj[~u] if u < 0 else (~u,)
+                    for v in vs:
+                        if v not in pred:
                             pred[v] = u
                             if v in succ:
                                 return v, pred, succ
@@ -383,8 +359,12 @@ def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
                 q_s = q
             else:
                 for u in q_t:
-                    for v, e in network[u]:
-                        if res[e ^ 1] and v not in succ:
+                    if u in busy:
+                        vs = [v for v in _split_neighbours(adj, u) if residual(v, u)]
+                    else:
+                        vs = (~u,) if u < 0 else [~y for y in adj[u]]
+                    for v in vs:
+                        if v not in succ:
                             succ[v] = u
                             if v in pred:
                                 return v, pred, succ
@@ -393,8 +373,7 @@ def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
                     return None
                 q_t = q
 
-    flow = 0
-    while flow < cutoff:
+    for _ in range(cutoff):
         found = bidirectional_bfs()
         if found is None:
             break
@@ -406,44 +385,23 @@ def node_disjoint_paths(network: Network, s: int, t: int) -> list[list[int]]:
         while path[-1] != target:
             path.append(succ[path[-1]])
         for u, w in zip(path, path[1:]):
-            for x, e in network[u]:
-                if x == w:
-                    res[e] -= 1
-                    res[e ^ 1] += 1
-                    break
-        flow += 1
-    if not flow:
-        return []
+            if (w, u) in flow:
+                flow.remove((w, u))     # flow cancelled
+            else:
+                flow.add((u, w))
+        busy.update(path)
 
-    saturated: dict[int, list[int]] = {}
-
-    def saturated_from(u: int) -> list[int]:
-        if u not in saturated:
-            saturated[u] = [v for v, e in network[u] if not e & 1 and not res[e]]
-        return saturated[u]
-
+    # Node capacities are 1, so every node but s has at most one flow arc
+    # out: each flow arc out of s starts one path, read off arc by arc.
     paths = []
-    found_paths = 0
-    for v in list(saturated_from(source)):
-        if found_paths >= cutoff:
-            break
-        path = [source]
-        if v == target:
-            path.append(v)
+    for y in adj[s]:
+        if (source, y) in flow:
+            path = [s, y]
+            while y != t:
+                y = next(z for z in adj[y] if (~y, z) in flow)
+                path.append(y)
             paths.append(path)
-            continue
-        u = v
-        while u != target:
-            path.append(u)
-            nxt = saturated_from(u)
-            if not nxt:
-                break
-            u = nxt.pop()
-        else:
-            path.append(target)
-            paths.append(path)
-            found_paths += 1
-    return [list(dict.fromkeys(x >> 1 for x in path)) for path in paths]
+    return paths
 
 
 # The router calls its flow routine as `nx.node_disjoint_paths`, looked up on
@@ -503,23 +461,25 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
-    index, network, by_center = carpet.corridors
+    index, adjacency, by_center = carpet.corridors
     kept = carpet.kept
     entry_ids = [index[i * n + j] for i, j in entries]
-    # the corridor graph: the kept cells, then a sink joined to every entry cell
+    # the corridor graph: the kept cells, then a sink joined to every entry
+    # cell; the sink's id is the largest, so every list stays increasing
     sink = len(kept)
-    graph = _join_sink(network, entry_ids)
+    graph = adjacency + [sorted(entry_ids)]
+    for k in entry_ids:
+        graph[k] = [*graph[k], sink]
     for center in by_center:
-        # the center's degree: its B node's arcs but the one back to its A node
-        if center in entry_ids or len(graph[2 * center + 1]) - 1 < 4:
+        if center in entry_ids or len(graph[center]) < 4:
             continue
         paths = nx.node_disjoint_paths(graph, center, sink)
         if len(paths) < 4:
             continue
-        # each path ends [..., entry cell, sink]; match paths to marks by entry cell
-        by_entry = {p[-2]: p for p in paths[:4]}
-        if set(by_entry) != set(entry_ids):
-            continue
+        # each path ends [..., entry cell, sink]: the sink's only neighbours
+        # are the four entry cells, so there are four paths, and being
+        # disjoint they end at distinct entry cells, one per mark
+        by_entry = {p[-2]: p for p in paths}
         legs = []
         for mark, k in zip(marks, entry_ids):
             leg = tuple(_cell_center(kept[c], level) for c in by_entry[k][:-1])  # center ... entry
