@@ -3,7 +3,8 @@
 Valid for 1-dimensional nerves only: the complex is then 2-dimensional, with
 one regular 2m_st-gon per coset of each finite dihedral pair <s,t>.  A face
 is attached only when its full vertex cycle lies inside the ball, so the
-frontier never carries partial polygons.
+frontier never carries partial polygons.  The faces are read off the Cayley
+ball's own up-edges, so the ball's products are computed once.
 """
 
 from __future__ import annotations
@@ -46,46 +47,40 @@ class LinkGraph:
 
 
 def build_davis_ball(sys: CoxeterSystem, radius: int) -> DavisBall:
-    """Combinatorial ball: Cayley 1-skeleton plus all fully-contained polygons."""
+    """Combinatorial ball: Cayley 1-skeleton plus all fully-contained polygons,
+    each read off the up-edges (g, gs, s) that `cayley_ball` records."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     # the nerve has a 2-simplex iff some triple is spherical
     if any(kind == SPHERICAL for *_, kind in sys.non_hyperbolic_triples):
         raise ValueError("Davis ball requires a nerve of dimension <= 1 (2-complex regime)")
     ball = cayley_ball(sys, radius)
-    ctx = word_context(sys)
+    up = {(g, s): gs for g, gs, s in ball.edges}
     gens = sys.generators
+    pairs = [(gens[i], gens[j], m) for i, j, m in sys._finite_pairs]
 
     # Each <s,t>-coset has one shortest element g, the only member with both
     # gs and gt longer; the coset's members then have lengths |g| .. |g| + m,
-    # so it lies in the ball exactly when |g| + m <= radius.
+    # so it lies in the ball exactly when |g| + m <= radius.  A reduced word
+    # w in s, t has |gw| = |g| + |w|, so both sides of the cycle climb by
+    # up-edges, all starting below the radius: g, gs, gst, ... to the longest
+    # member, and g, gt, gts, ... one step short of it.
     faces = []
-    for g in map(ctx.encode, ball.vertices):
-        for si, ti, m in sys._finite_pairs:
-            if len(g) + m <= radius:
-                cycle = _dihedral_coset_cycle(ctx, g, si, ti, m)
-                if cycle is not None:
-                    names = [ctx.decode(v) for v in cycle]
-                    # canonical orientation: start at the least member in name order
-                    k = names.index(min(names))
-                    faces.append((gens[si], gens[ti], tuple(names[k:] + names[:k])))
+    for g in ball.vertices:
+        for s, t, m in pairs:
+            if len(g) + m <= radius and (g, s) in up and (g, t) in up:
+                side_s, side_t = [g], [g]
+                for k in range(m):
+                    side_s.append(up[side_s[-1], t if k % 2 else s])
+                for k in range(m - 1):
+                    side_t.append(up[side_t[-1], s if k % 2 else t])
+                # going on from the longest member, the cycle runs back down the t side
+                names = side_s + side_t[:0:-1]
+                # canonical orientation: start at the least member in name order
+                k = names.index(min(names))
+                faces.append((s, t, tuple(names[k:] + names[:k])))
     faces.sort()
     return DavisBall(sys, radius, ball.vertices, ball.edges, tuple(faces))
-
-
-def _dihedral_coset_cycle(ctx, g: tuple[int, ...], s: int, t: int, m: int):
-    """Boundary cycle g, gs, gst, ... (length 2m) of the <s,t>-coset through
-    g, or None unless g is the coset's shortest element."""
-    gs, gt = ctx.multiply(g, s), ctx.multiply(g, t)
-    if len(gs) < len(g) or len(gt) < len(g):
-        return None
-    up_s, up_t = [g, gs], [g, gt]
-    for k in range(1, m):
-        up_s.append(ctx.multiply(up_s[-1], t if k % 2 else s))
-    for k in range(1, m - 1):
-        up_t.append(ctx.multiply(up_t[-1], s if k % 2 else t))
-    # going on from the longest member up_s[m], the cycle runs back down the t side
-    return up_s + up_t[:0:-1]
 
 
 def euler_characteristic(ball: DavisBall) -> int:

@@ -137,13 +137,34 @@ _NEG = -1     # table entry: s(alpha_s) = -alpha_s
 _BIG = -2     # table entry: the reflected root is not small
 
 
+# Largest N for which `_small_root_table` builds Z[zeta_N].
+MAX_RING_ORDER = 2520
+
+
 def _small_root_table(m: Sequence[Sequence[int]]) -> list[int]:
     """Reflection table of the small roots of the Coxeter matrix `m` (0 for
     infinity).  Simple root i has index i; entry [beta * rank + s] is the index
-    of s(beta), or _NEG or _BIG."""
+    of s(beta), or _NEG or _BIG.
+
+    The table is computed in Z[zeta_N], N = 2 lcm(labels >= 3): the ring holds
+    N/2 power rows of up to phi(N) entries, and a product by 2cos(pi/m) costs
+    up to phi(N)^2.  So N is held to MAX_RING_ORDER = 2520 = 2 lcm(3, 4, 5, 6,
+    7, 9), and a larger N is refused with a ValueError naming the labels,
+    before any ring work.  Measured builds (2-core Xeon, Python 3.11, time and
+    process max RSS): the costliest probed within the budget, I2(1259) x A1
+    (N = 2518), takes 3.1 s and 72 MB; past it, labels 11, 13, 17 (N = 4862)
+    take 1.3 s and 85 MB, I2(2503) x A1 (N = 5006) 8.1 s and 236 MB, and
+    labels 7, 9, 11, 13 (N = 18018) 12.8 s and 599 MB.  A label of 10^6
+    alone would ask for 10^6 power rows."""
     n = len(m)
-    finite = [m[i][j] for i in range(n) for j in range(n) if m[i][j] >= 3]
-    ring = _CyclotomicRing(2 * math.lcm(*finite) if finite else 2)
+    finite = sorted({m[i][j] for i in range(n) for j in range(n) if m[i][j] >= 3})
+    order = 2 * math.lcm(*finite) if finite else 2
+    if order > MAX_RING_ORDER:
+        raise ValueError(
+            f"label set {{{', '.join(map(str, finite))}}} needs the cyclotomic integers "
+            f"Z[zeta_{order}]; normal forms are built only for 2 lcm(labels >= 3) "
+            f"<= {MAX_RING_ORDER}")
+    ring = _CyclotomicRing(order)
     # a root is stored as its coordinates in the simple roots, each a sorted
     # tuple of the (exponent, coefficient) pairs of its ring element
     roots = [tuple(((0, 1),) if k == i else () for k in range(n)) for i in range(n)]
@@ -473,7 +494,11 @@ class CayleyBall:
 
 
 def cayley_ball(sys: CoxeterSystem, radius: int) -> CayleyBall:
-    """Ball of word-length radius in the Cayley graph, vertices as normal forms."""
+    """Ball of word-length radius in the Cayley graph, vertices as normal forms.
+
+    The edges are exactly the up-edges (g, gs, s) with |g| < radius and
+    |gs| = |g| + 1, each once; a finite group whose ball stops growing before
+    the radius has none out of its longest element."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ctx = word_context(sys)

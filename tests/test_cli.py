@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -193,6 +194,29 @@ def test_tessellate_input_errors(tmp_path, capsys):
             ("gens a b c\na b 2\nb c 3\na c 7\n", "-1", "depth must be >= 0")):
         p.write_text(text)
         assert main(["tessellate", "--input", str(p), "--depth", depth]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message) and \
+            captured.err.count("\n") == 1, captured.err
+
+
+def test_ring_beyond_budget_is_input_error(tmp_path, capsys):
+    """Labels whose cyclotomic ring is past the small-root table's budget exit
+    1 with one `error:` line, before any ring work: unguarded, the ring for
+    17, 19, 23 costs tens of seconds and hundreds of MB, and for a label of
+    1000003 far more."""
+    p = tmp_path / "t.cox"
+    for text, argv, message in (
+            ("gens a b c\na b 17\nb c 19\na c 23\n", ["davis-ball"],
+             "label set {17, 19, 23} needs the cyclotomic integers Z[zeta_14858]"),
+            ("gens a b c\na b 17\nb c 19\na c 23\n", ["tessellate", "--depth", "2"],
+             "label set {17, 19, 23} needs the cyclotomic integers Z[zeta_14858]"),
+            ("gens a b\na b 1000003\n", ["davis-ball"],
+             "label set {1000003} needs the cyclotomic integers Z[zeta_2000006]")):
+        p.write_text(text)
+        start = time.perf_counter()
+        assert main(argv + ["--input", str(p)]) == 1
+        assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + message) and \

@@ -1,8 +1,9 @@
 import re
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxbound import davis
@@ -11,8 +12,9 @@ from coxbound.davis import (build_davis_ball, ball_to_json,
                             tessellation_svg, tessellation_triangles,
                             vertex_link)
 from coxbound.nerve import build_nerve
-from coxbound.system import HYPERBOLIC, complete_graph_system, make_system, triangle_type
-from coxbound.words import cayley_ball
+from coxbound.system import (HYPERBOLIC, INF, SPHERICAL, complete_graph_system, make_system,
+                             triangle_type)
+from coxbound.words import cayley_ball, word_context
 
 
 def triangle(a, b, c):
@@ -83,6 +85,54 @@ def test_ball_requires_1d_nerve():
 def test_ball_json_deterministic():
     sysm = complete_graph_system(3)
     assert ball_to_json(build_davis_ball(sysm, 3)) == ball_to_json(build_davis_ball(sysm, 3))
+
+
+# --- the faces against their multiply-based oracle ---------------------------------
+#
+# The faces as they were found before they were read off the ball's up-edges:
+# every vertex re-encoded, the shortest element of each coset found by
+# multiplying by s and t, and both sides of its cycle multiplied out.
+
+def _multiplied_faces(sysm, radius):
+    ctx = word_context(sysm)
+    faces = []
+    for g in map(ctx.encode, cayley_ball(sysm, radius).vertices):
+        for s, t in sysm.pairs():
+            m = sysm.m(s, t)
+            if m == INF or len(g) + m > radius:
+                continue
+            si, ti = sysm.index(s), sysm.index(t)
+            gs, gt = ctx.multiply(g, si), ctx.multiply(g, ti)
+            if len(gs) < len(g) or len(gt) < len(g):
+                continue
+            up_s, up_t = [g, gs], [g, gt]
+            for k in range(1, int(m)):
+                up_s.append(ctx.multiply(up_s[-1], ti if k % 2 else si))
+            for k in range(1, int(m) - 1):
+                up_t.append(ctx.multiply(up_t[-1], si if k % 2 else ti))
+            names = [ctx.decode(v) for v in up_s + up_t[:0:-1]]
+            k = names.index(min(names))
+            faces.append((s, t, tuple(names[k:] + names[:k])))
+    return tuple(sorted(faces))
+
+
+@st.composite
+def one_dimensional_nerves(draw):
+    """Rank 2-5, labels from 2-7 or infinity, no spherical triple."""
+    gens = [f"g{i}" for i in range(draw(st.integers(2, 5)))]
+    sysm = make_system(gens, {pair: draw(st.sampled_from([2, 3, 4, 5, 6, 7, INF]))
+                              for pair in combinations(gens, 2)})
+    assume(all(kind != SPHERICAL for *_, kind in sysm.non_hyperbolic_triples))
+    return sysm
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_dimensional_nerves(), st.integers(1, 6))
+@example(make_system("ab", {("a", "b"): 5}), 4)        # I2(5) one short of its face
+@example(make_system("ab", {("a", "b"): 5}), 5)        # and the whole group
+@example(make_system("abc", {("a", "b"): 3, ("b", "c"): 4}), 6)     # m(a, c) = inf
+def test_faces_match_multiplied_oracle(sysm, radius):
+    assert build_davis_ball(sysm, radius).faces == _multiplied_faces(sysm, radius)
 
 
 # --- tessellations --------------------------------------------------------------

@@ -10,11 +10,12 @@ scaffold from the code that still routed one star per copy.  A refactor of
 those paths has to keep every byte."""
 
 import hashlib
+from itertools import combinations
 
 from coxbound.carpet import (build_carpet_approx, build_k5_scaffold, carpet_svg,
                              scaffold_svg, scaffold_to_json)
 from coxbound.classify import classify_boundary, report_to_json
-from coxbound.davis import tessellation_svg
+from coxbound.davis import ball_to_json, build_davis_ball, tessellation_svg
 from coxbound.nerve import build_nerve, nerve_to_json
 from coxbound.system import make_system, parse_system
 
@@ -22,6 +23,17 @@ from coxbound.system import make_system, parse_system
 # word-problem benchmark workload renders (perfbench/workloads.py)
 TESSELLATIONS = [((2, 3, 5), 15), ((3, 3, 3), 16), ((2, 4, 4), 16), ((2, 3, 6), 16),
                  ((2, 3, 7), 16), ((3, 3, 4), 10), ((4, 5, 6), 8)]
+
+# (rank, labels in `combinations` order of g0 g1 ..., radius) of each Davis
+# ball that the word-problem workload builds (perfbench/workloads.py), then
+# its dihedral balls I2(m) at radius m
+DAVIS_BALLS = [
+    (3, (3, 3, 3), 12), (3, (3, 3, 4), 10), (3, (3, 4, 5), 9), (3, (4, 4, 4), 8),
+    (3, (4, 5, 6), 8), (3, (6, 6, 6), 8), (3, (3, 5, "inf"), 9),
+    (4, (3,) * 6, 5), (4, (3,) * 6, 6), (4, (3, 3, 4, 4, 5, 5), 5), (4, (4,) * 6, 5),
+    (4, (5,) * 6, 5), (4, (3, 4, 5, 3, 4, "inf"), 5),
+    (5, (3,) * 10, 4), (5, (3, 4) * 5, 4), (5, (3, 4, 3, 4, 3, 4, 3, 4, "inf", "inf"), 4),
+] + [(2, (m,), m) for m in (5, 7, 9)]
 
 DIGESTS = {
     "tessellation_svg abc (2, 3, 5) depth 15":
@@ -72,6 +84,76 @@ DIGESTS = {
         "e64ef0fb9b4c9e28c616b1ff16701d44cb45802024f7b280c3544dcd1a9feb69",
     "scaffold_svg level 4":
         "24629fb95740c170b32231ceb3df4a89617dd5108030dabeeee1d76650e82afc",
+    "ball_to_json g0 g1 g2 (3, 3, 3) radius 12":
+        "5a7432f692b0cee1080f0979204b5247fc249e515560ae33d8a859d047074ce0",
+    "ball_to_json g0 g1 g2 (3, 3, 4) radius 10":
+        "999c702be9d5c01e8af66d0d1536f0070e9213b251f7107ae34c527bccb5a9e2",
+    "ball_to_json g0 g1 g2 (3, 4, 5) radius 9":
+        "ca46c97af94daf108919cc5151885ff18008cb63759ddfc92f8ebe0eb95aaa38",
+    "ball_to_json g0 g1 g2 (4, 4, 4) radius 8":
+        "0668635fb01c15dd5b40ddf0445270e3586bd29941ce686fed2741c6ca05308d",
+    "ball_to_json g0 g1 g2 (4, 5, 6) radius 8":
+        "4f2066c3123a3f7968f668420ff30808b1387a4761e6cbf7be28ff2a0bcf881e",
+    "ball_to_json g0 g1 g2 (6, 6, 6) radius 8":
+        "3100cbc361b7fac7e6522ec3b059ac7ec86e75d0ccd7124f2200b4f78ba796a6",
+    "ball_to_json g0 g1 g2 (3, 5, 'inf') radius 9":
+        "8519b787d013860f9119467a0112b1cfc7ef98b8d799a9ba103beb22bb5ed7b5",
+    "ball_to_json g0 g1 g2 g3 (3, 3, 3, 3, 3, 3) radius 5":
+        "df4e570ca4ada353b4d9e8afc1a730f6d8fe93dafdcaffbe03a0eb549fd65c0e",
+    "ball_to_json g0 g1 g2 g3 (3, 3, 3, 3, 3, 3) radius 6":
+        "3e551a937a5ccfbd3c0ba07e0b4d5a300d3bde2b2871109f37855a2f92167c68",
+    "ball_to_json g0 g1 g2 g3 (3, 3, 4, 4, 5, 5) radius 5":
+        "708b6f2a1a04c1768bbeefbdce8b1db67357e7662d110b03a3a4533e02bdc14e",
+    "ball_to_json g0 g1 g2 g3 (4, 4, 4, 4, 4, 4) radius 5":
+        "ca901ae7c7614808cc33ad90b62deb90792a2be4168c69232c94f08b099fe59c",
+    "ball_to_json g0 g1 g2 g3 (5, 5, 5, 5, 5, 5) radius 5":
+        "431a4cc2cc3cc8e82928c64d44a796ce850feeb2827c51e551f0c43936be8e89",
+    "ball_to_json g0 g1 g2 g3 (3, 4, 5, 3, 4, 'inf') radius 5":
+        "77d4a41b4e5cda3570b1df3b875c4791adf8d6c14b886282fc123ccd287a6ee8",
+    "ball_to_json g0 g1 g2 g3 g4 (3, 3, 3, 3, 3, 3, 3, 3, 3, 3) radius 4":
+        "3305d591098266427845a4d0dd91018758980296788be6369b41c5610e4d165f",
+    "ball_to_json g0 g1 g2 g3 g4 (3, 4, 3, 4, 3, 4, 3, 4, 3, 4) radius 4":
+        "638e16a99632f7924662856b48dc9ba49c5b593b62502c2818d6d900d1aa6d17",
+    "ball_to_json g0 g1 g2 g3 g4 (3, 4, 3, 4, 3, 4, 3, 4, 'inf', 'inf') radius 4":
+        "8dd12274444799cf5d4517faeaafc5ef776542e235b92527a9d1d024e5fb237f",
+    "ball_to_json g0 g1 (5,) radius 5":
+        "519b135a47aa0aca0b4950d60c1f6f2b7b33830542d4f725f9601ee64f308856",
+    "ball_to_json g0 g1 (7,) radius 7":
+        "9e35ebfb60b155a7850e9869e8b1826a632bbe1757366444b3da632ae98ace62",
+    "ball_to_json g0 g1 (9,) radius 9":
+        "be2ff05726cc9db70cd0dca893cad4377592c33c737956ffbd345bbdac1db99e",
+    "ball_to_json g2 g1 g0 (3, 3, 3) radius 12":
+        "430219db9178553480c0d213a33c102c6a8d00b52f68c09021c8a4dbde733d31",
+    "ball_to_json g2 g1 g0 (3, 3, 4) radius 10":
+        "c1c005027bee1a5ae00f2e0ea020c23480c0a4c0057c4112cc03fcbdd3e20205",
+    "ball_to_json g2 g1 g0 (3, 4, 5) radius 9":
+        "7590a8123b13a69df93e60b16219d68aa902cef278920cb22d3ecda290b2884e",
+    "ball_to_json g2 g1 g0 (4, 4, 4) radius 8":
+        "971f655b2dbbfe5885d231d53ec42797936e879d8195bec18bd953fed02e2c06",
+    "ball_to_json g2 g1 g0 (4, 5, 6) radius 8":
+        "529bd146ec5a5132245ce071dfdfecc92fbb0e11f80edec6e9863edef436144b",
+    "ball_to_json g2 g1 g0 (6, 6, 6) radius 8":
+        "1ca2ed03d6d46567cebe43d8d68dbe698a68131829e89f5f4771bf0deb6546bd",
+    "ball_to_json g2 g1 g0 (3, 5, 'inf') radius 9":
+        "f0a9532fdd6c018a301f9417c4b6d1ceb6d1f92cfb687e5265c86db67af7cc8e",
+    "ball_to_json g3 g2 g1 g0 (3, 3, 3, 3, 3, 3) radius 5":
+        "53b51b8b20d37d3d7b34b77f48b61a646cea97457f893cda61b80d2744a12c34",
+    "ball_to_json g3 g2 g1 g0 (3, 3, 3, 3, 3, 3) radius 6":
+        "b3e16ab5e22cdfe63b032338522b7eb326ac18e4169122197aedbf5dea2f134f",
+    "ball_to_json g3 g2 g1 g0 (3, 3, 4, 4, 5, 5) radius 5":
+        "7594770c0bfa4f9f4472894362ea86e3e983dd31507e996e626263cf2ad42779",
+    "ball_to_json g3 g2 g1 g0 (4, 4, 4, 4, 4, 4) radius 5":
+        "3215e49f164440e6633de988bf8a3d7de0cdfd8e56820a80fc80421f07592328",
+    "ball_to_json g3 g2 g1 g0 (5, 5, 5, 5, 5, 5) radius 5":
+        "e467819c02f00c2ac4d18bd921214a82ecd471aa451b10aa0d8a41fb39d506ce",
+    "ball_to_json g3 g2 g1 g0 (3, 4, 5, 3, 4, 'inf') radius 5":
+        "db4e4c92e329bb1a723096fc9c6e3408d35eb8917d20ca4d87b955a248ef1d5f",
+    "ball_to_json g4 g3 g2 g1 g0 (3, 3, 3, 3, 3, 3, 3, 3, 3, 3) radius 4":
+        "cb582c4d749bbf566e72507cabedf86c96d6f3689046518e51ce5fe70a6e09f8",
+    "ball_to_json g4 g3 g2 g1 g0 (3, 4, 3, 4, 3, 4, 3, 4, 3, 4) radius 4":
+        "0b3c2a1af44c0dfe14d71de3d36cd91e410a207d87b576b4fcc5ceb0d17288fe",
+    "ball_to_json g4 g3 g2 g1 g0 (3, 4, 3, 4, 3, 4, 3, 4, 'inf', 'inf') radius 4":
+        "a5152652a3efe1627fa0e2819ccca45210ad1103f63280415ee9b6ee7239cb6a",
 }
 
 
@@ -94,6 +176,13 @@ def _outputs():
     level_4 = build_k5_scaffold(4)
     yield "scaffold_to_json level 4", scaffold_to_json(level_4)
     yield "scaffold_svg level 4", scaffold_svg(level_4)
+    for rank, labels, radius in DAVIS_BALLS:
+        gens = [f"g{i}" for i in range(rank)]
+        given = {pair: m for pair, m in zip(combinations(gens, 2), labels) if m != "inf"}
+        # from rank 3 also reversed: face rotation and edge order follow the names
+        for order in (gens, gens[::-1]) if rank >= 3 else (gens,):
+            ball = build_davis_ball(make_system(order, given), radius)
+            yield f"ball_to_json {' '.join(order)} {labels} radius {radius}", ball_to_json(ball)
 
 
 def test_output_bytes_pinned():

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coxbound.system import INF, complete_graph_system, make_system, subgroup_order
-from coxbound.words import (_CyclotomicRing, _cyclotomic_polynomial, _enumerate_cosets,
-                            cayley_ball, coxeter_relators, spherical_triangle_order, tits_normal_form,
+from coxbound.words import (MAX_RING_ORDER, WordContext, _CyclotomicRing,
+                            _cyclotomic_polynomial, _enumerate_cosets, cayley_ball,
+                            coxeter_relators, spherical_triangle_order, tits_normal_form,
                             todd_coxeter_enumerate, word_context, words_equal)
 
 
@@ -116,6 +117,17 @@ def test_cayley_ball_counts_match_enumeration():
     assert ball.size == todd_coxeter_enumerate(sysm, "xyz").order
 
 
+def test_ring_budget_edge():
+    """2 lcm(labels >= 3) = 2520 is the largest ring the small-root table
+    builds; 2522 is refused before any ring work."""
+    at_budget = make_system("abcd", {("a", "b"): 4, ("a", "c"): 5, ("a", "d"): 7,
+                                     ("b", "c"): 9, ("b", "d"): 2, ("c", "d"): 2})
+    assert MAX_RING_ORDER == 2520
+    assert WordContext(at_budget).small_root_count > 4
+    with pytest.raises(ValueError, match=r"label set \{1261\} needs .*Z\[zeta_2522\]"):
+        WordContext(make_system("ab", {("a", "b"): 1261}))
+
+
 def test_cayley_ball_deterministic():
     sysm = complete_graph_system(3)
     b1 = cayley_ball(sysm, 4)
@@ -177,6 +189,28 @@ def coxeter_matrix(sysm):
     gens = sysm.generators
     return [[0 if s == t or sysm.m(s, t) == INF else int(sysm.m(s, t)) for t in gens]
             for s in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(0, 5))
+@example(make_system("ab", {("a", "b"): 5}), 9)                      # I2(5): longest at 5
+@example(complete_graph_system(3, labels={("s1", "s3"): 2}), 10)     # A3: longest at 6
+def test_cayley_ball_edges_are_the_up_edges(sysm, radius):
+    """The Davis faces climb these edges: every (g, gs, s) with |g| < radius
+    and |gs| = |g| + 1, each once, also where a finite group's ball stops
+    growing before the radius.  The vertices are then the identity and the
+    ends of up-edges, which by induction on length is every element of
+    length at most `radius`."""
+    ball = cayley_ball(sysm, radius)
+    ctx = word_context(sysm)
+    up = set()
+    for g in ball.vertices:
+        for s, name in enumerate(sysm.generators):
+            gs = ctx.decode(ctx.multiply(ctx.encode(g), s))
+            if len(g) < radius and len(gs) == len(g) + 1:
+                up.add((g, gs, name))
+    assert sorted(ball.edges) == sorted(up)
+    assert sorted(ball.vertices) == sorted({()} | {gs for _, gs, _ in up})
 
 
 _PROPERTY = settings(max_examples=150, deadline=None,
