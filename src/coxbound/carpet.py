@@ -193,8 +193,7 @@ def verify_star_disjointness(t: Fraction, t2: Fraction) -> bool:
             kind, p = segment_common(*a.leg(i), *b.leg(j))
             if kind == DISJOINT:
                 continue
-            if kind == OVERLAP:
-                return False
+            # an OVERLAP comes with p None, which is no tip: rejected below
             if i == j and p == HOLED_DISK.marked[i - 1]:
                 continue
             return False
@@ -249,14 +248,12 @@ def select_t_avoiding(points: Sequence[Point]) -> tuple[Fraction, dict[Point, tu
         ts = tuple(excluded_t_values(q))
         certificate[q] = ts
         excluded.update(ts)
-    # at most 4 excluded values per point: scan a fine enough rational grid
+    # at most 4 excluded values per point: scan a fine enough rational grid,
+    # whose n + 1 distinct points outnumber the excluded values
     n = 8 * (len(excluded) + 2)
     lo, hi = T_RANGE
-    for k in range(n + 1):
-        t0 = lo + (hi - lo) * Fraction(k, n)
-        if t0 not in excluded:
-            return t0, certificate
-    raise AssertionError("unreachable: finitely many excluded t on an infinite grid")
+    grid = (lo + (hi - lo) * Fraction(k, n) for k in range(n + 1))
+    return next(t0 for t0 in grid if t0 not in excluded), certificate
 
 
 # --- star routing inside a carpet approximation --------------------------------
@@ -420,17 +417,24 @@ def _entry_cell(p: Point, carpet: CarpetApprox) -> tuple[int, int]:
     """The kept cell of `carpet` whose closure contains p, a point in the
     interior of a cell edge on a peripheral boundary: of the two cells beside
     that edge, the other lies inside the removed square or outside the unit
-    square.  Cell-corner points are ambiguous and rejected."""
+    square.  Cell-corner points are ambiguous and rejected.
+
+    The cell outside the peripheral square is always kept.  A removed square
+    of side s is the middle ninth of a kept square of side 3s, so that cell
+    lies against the edge of one of the other eight ninths; a removed square
+    of side s' < s inside that ninth is the middle of a square of side 3s'
+    within it, so it stays at least s' >= 1 cell away from the ninth's edges.
+    The outer boundary is the edge of the kept unit square, and the same
+    holds there."""
     n = 3 ** carpet.level
     xs, ys = p[0] * n, p[1] * n
     if xs.denominator == 1 and ys.denominator == 1:
         raise ValueError(f"marked point {p} sits on a cell corner; move it")
     i, j = int(xs), int(ys)
-    beside = ((i - 1, j), (i, j)) if xs.denominator == 1 else ((i, j - 1), (i, j))
-    for i, j in beside:
-        if 0 <= i < n and 0 <= j < n and carpet.hole_at[i * n + j] < 0:
-            return (i, j)
-    raise ValueError(f"marked point {p} has no kept cell beside it")
+    a, b = (i - 1, j) if xs.denominator == 1 else (i, j - 1)
+    if 0 <= a < n and 0 <= b < n and carpet.hole_at[a * n + b] < 0:
+        return (a, b)
+    return (i, j)           # the other cell beside the edge: kept, see above
 
 
 def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> CarpetStar:

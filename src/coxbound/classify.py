@@ -73,12 +73,6 @@ def isolated_flats_check(sys: CoxeterSystem, nerve: NerveComplex) -> bool:
     complete, _ = is_complete_1d_nerve(nerve)
     if not complete:
         raise ValueError("isolated_flats_check requires a complete 1-dimensional nerve")
-    return _isolated_flats(sys)
-
-
-def _isolated_flats(sys: CoxeterSystem) -> bool:
-    """`isolated_flats_check` on a system whose nerve is already known to be
-    complete and 1-dimensional, so that every pair is a nerve edge."""
     for v, row in zip(sys.generators, sys.label_rows):
         if row.count(2) >= 2:
             # would contradict 1-dimensionality: a (2,2,m) triple is finite
@@ -99,6 +93,10 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     would build it: complete and 1-dimensional iff every label is finite (the
     Serre criterion), n >= 2 and no triple is spherical; otherwise of
     dimension 2 with a spherical triple, 1 with a finite label, else 0.
+    `isolated_flats` is true exactly for a complete 1-dimensional nerve, with
+    no check of its own: a vertex with two label-2 edges and a finite third
+    label between their ends makes a spherical (2, 2, m) triple, which such a
+    nerve excludes, and for n = 2 a row holds a single label.
     """
     n = sys.rank
     gens = sys.generators
@@ -114,7 +112,7 @@ def classify_boundary(sys: CoxeterSystem) -> ClassificationReport:
     has_euc = bool(euclidean)
     hyperbolic = not has_euc
     complete1d = fa and n >= 2 and not spherical
-    flats = _isolated_flats(sys) if complete1d else False
+    flats = complete1d      # no vertex has two label-2 edges: see above
 
     def report(boundary: BoundaryClass) -> ClassificationReport:
         return ClassificationReport(sys, boundary, n, fa, has_euc, hyperbolic,

@@ -7,6 +7,12 @@ the integer numerators: it builds no Fraction to compare and never divides.
 A Fraction appears only in what a function returns, a crossing point or a
 clip parameter.  No square roots appear anywhere (distances are compared
 squared).
+
+`segment_common` decides from the four orientations: a proper crossing, a
+collinear pair, or an endpoint of one segment on the other, and nothing
+else, since segments that are not collinear share at most one point.
+`segment_in_box` is Liang-Barsky clipping (Liang & Barsky, ACM TOG 3, 1984),
+whose interval [t0, t1] stays nonempty until a boundary rejects it.
 """
 
 from __future__ import annotations
@@ -66,6 +72,20 @@ def segment_common(a: Point, b: Point, c: Point, d: Point):
     or (OVERLAP, None) when the common set is a nondegenerate segment.  A
     point that is an endpoint comes back as that argument; a crossing inside
     both segments has Fraction coordinates.
+
+    With o1, o2 the sides of c, d of line ab and o3, o4 those of a, b of line
+    cd, there are three cases (O'Rourke, Computational Geometry in C):
+    - all four nonzero, o1 != o2 and o3 != o4: a proper crossing, the one
+      common point, inside both segments;
+    - o1 = o2 = 0 (this includes a = b): the segments are collinear, and
+      their parameter intervals along ab decide DISJOINT, POINT or OVERLAP;
+    - otherwise they share at most one point, since two would put c and d on
+      line ab, and that point is an endpoint of one lying on the other.  A
+      crossing of the lines inside both segments with some orientation 0,
+      say o1 = 0 != o2, lies at c: c is on line ab, line cd meets line ab
+      only at c, and a, b are not strictly on one side of line cd.  Where
+      several endpoints coincide, the first of b, a, d, c that lies on the
+      other segment is returned.
     """
     given = (a, b, c, d)
     pts, den = _numerators(given)
@@ -83,18 +103,10 @@ def segment_common(a: Point, b: Point, c: Point, d: Point):
         if pts[lo] == pts[hi]:
             return POINT, given[lo]
         return OVERLAP, None
-    # general position but with endpoint incidences
-    touch = None
-    for k, (u, v) in ((2, (a, b)), (3, (a, b)), (0, (c, d)), (1, (c, d))):
+    # not collinear and no proper crossing: see the docstring's third case
+    for k, (u, v) in ((1, (c, d)), (0, (c, d)), (3, (a, b)), (2, (a, b))):
         if _on_segment(pts[k], u, v):
-            if touch is not None and pts[touch] != pts[k]:
-                # two distinct touch points with non-collinear segments cannot happen
-                return OVERLAP, None
-            touch = k
-    if touch is not None:
-        return POINT, given[touch]
-    if o1 != o2 and o3 != o4:
-        return POINT, _line_cross(a, b, c, d, den)
+            return POINT, given[k]
     return DISJOINT, None
 
 
@@ -156,8 +168,8 @@ def segment_in_box(a: Point, b: Point, x0: Coord, y0: Coord, x1: Coord,
                 return None
             if q * d1 < n1 * p:
                 n1, d1 = q, p
-    if n0 * d1 > n1 * d0:
-        return None
+    # t0 <= t1 throughout: they start at 0 and 1, t0 rises only to an r that
+    # passed r <= t1, and t1 falls only to an r that passed r >= t0
     return Fraction(n0, d0), Fraction(n1, d1)
 
 

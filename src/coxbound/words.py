@@ -141,10 +141,12 @@ _BIG = -2     # table entry: the reflected root is not small
 MAX_RING_ORDER = 2520
 
 
-def _small_root_table(m: Sequence[Sequence[int]]) -> list[int]:
-    """Reflection table of the small roots of the Coxeter matrix `m` (0 for
-    infinity).  Simple root i has index i; entry [beta * rank + s] is the index
-    of s(beta), or _NEG or _BIG.
+def _small_root_table(m: Sequence[Sequence[float]]) -> list[int]:
+    """Reflection table of the small roots of the Coxeter matrix `m`, held as
+    `CoxeterSystem.label_rows` holds it: INF for infinity, a finite label an
+    int or an integral float, and a diagonal that is not read as a label.
+    Simple root i has index i; entry [beta * rank + s] is the index of
+    s(beta), or _NEG or _BIG.
 
     The table is computed in Z[zeta_N], N = 2 lcm(labels >= 3): the ring holds
     N/2 power rows of up to phi(N) entries, and a product by 2cos(pi/m) costs
@@ -157,7 +159,7 @@ def _small_root_table(m: Sequence[Sequence[int]]) -> list[int]:
     labels 7, 9, 11, 13 (N = 18018) 12.8 s and 599 MB.  A label of 10^6
     alone would ask for 10^6 power rows."""
     n = len(m)
-    finite = sorted({m[i][j] for i in range(n) for j in range(n) if m[i][j] >= 3})
+    finite = sorted({int(m[i][j]) for i in range(n) for j in range(n) if 3 <= m[i][j] != INF})
     order = 2 * math.lcm(*finite) if finite else 2
     if order > MAX_RING_ORDER:
         raise ValueError(
@@ -180,8 +182,8 @@ def _small_root_table(m: Sequence[Sequence[int]]) -> list[int]:
             two_b = {e: 2 * c for e, c in beta[s].items()}        # 2B(alpha_s, beta)
             for j in range(n):
                 if j != s and m[s][j] != 2 and beta[j]:
-                    term = beta[j] if m[s][j] == 0 else ring.times_twocos(beta[j], m[s][j])
-                    two_b = _add(two_b, term, -2 if m[s][j] == 0 else -1)
+                    term = beta[j] if m[s][j] == INF else ring.times_twocos(beta[j], int(m[s][j]))
+                    two_b = _add(two_b, term, -2 if m[s][j] == INF else -1)
             sign = ring.sign(two_b)
             if sign == 0:
                 table.append(b)
@@ -214,12 +216,8 @@ class WordContext:
     def __init__(self, sys: CoxeterSystem):
         self.system = sys
         self.gens = sys.generators
-        n = sys.rank
-        m = [[0] * n for _ in range(n)]
-        for i, j, mij in sys._finite_pairs:
-            m[i][j] = m[j][i] = mij
-        self._rank = n
-        self._table = _small_root_table(m)
+        self._rank = sys.rank
+        self._table = _small_root_table(sys.label_rows)
 
     @property
     def small_root_count(self) -> int:

@@ -199,6 +199,12 @@ def test_embed_rejects_marks_off_peripheral_squares():
         ([MarkedPoint(marks[0].cell, (F(1, 2), F(1, 3)))] + marks[1:3]
          + [MarkedPoint(marks[3].cell, (F(1, 2), F(2, 9)))], RoutingError,
          "two marked points enter through the same cell"),
+        # four entry cells in the left column, cut off by fewer than four
+        # cells: some candidate centers find fewer than 4 paths, and none
+        # finds 4 (one of the 8 such entry sets among all level-2 mark sets)
+        ([MarkedPoint((3, 3, 3), (F(1, 3), F(7, 18))), MarkedPoint((1, 1, 1), (F(1, 6), F(2, 9))),
+          MarkedPoint((1, 4, 1), (F(1, 6), F(4, 9))), MarkedPoint((0, 0, 9), (F(0), F(7, 18)))],
+         RoutingError, "no 4 disjoint corridors found at level 2"),
     ]
     for bad, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -311,6 +317,11 @@ def test_star_family_point_endpoints():
         assert star_family_point(t, i, F(0)) == star.center
         assert star_family_point(t, i, F(1)) == p
         assert star.leg(i) == (star.center, p)
+    for args, message in (((F(1, 4), 1, F(0)), "t = 1/4 outside [-1/8, 1/8]"),
+                          ((t, 5, F(0)), "leg index must be in 1..4"),
+                          ((t, 1, F(2)), "s must be in [0, 1]")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            star_family_point(*args)
 
 
 def _nearest_on_segment(o, a, b):
@@ -357,6 +368,8 @@ def test_leg_families_disjoint_away_from_tips():
             continue
         for i in (1, 2, 3, 4):
             assert verify_leg_family_disjointness(i, t, t2)
+    with pytest.raises(ValueError, match="^parameters must differ$"):
+        verify_leg_family_disjointness(1, F(1, 16), F(1, 16))
 
 
 def test_whole_stars_always_cross():
@@ -365,6 +378,8 @@ def test_whole_stars_always_cross():
     known crossing of legs 1 and 3 at (-1/24, -1/24) for t = 1/16, t2 = -1/16."""
     t, t2 = F(1, 16), F(-1, 16)
     assert not verify_star_disjointness(t, t2)
+    with pytest.raises(ValueError, match="^parameters must differ$"):
+        verify_star_disjointness(t, t)
     a, b = StarEmbedding(t), StarEmbedding(t2)
     kind, p = segment_common(*a.leg(1), *b.leg(3))
     assert kind == POINT and p == (F(-1, 24), F(-1, 24))
@@ -433,6 +448,13 @@ def test_verifier_rejects_broken_star():
     c = build_carpet_approx(2)
     star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
     assert not verify_star_in_carpet(c, _broken(star))
+    assert not verify_star_in_carpet(c, CarpetStar(star.center, star.legs[:3], star.marks[:3]))
+    # a detour from the last kept cell down to the outer boundary, which no
+    # mark of this star is on
+    leg = star.legs[1]
+    assert leg[-2] == (F(1, 6), F(1, 18))
+    _check_rejected(c, _with_mark(star, 1, leg[:-1] + ((F(1, 6), F(0)),) + leg[-1:],
+                                  star.marks[1]))
 
 
 def test_k5_scaffold():
@@ -476,6 +498,20 @@ def test_k5_scaffold_seeded():
 def test_k5_level_too_small():
     with pytest.raises(RoutingError):
         build_k5_scaffold(level=1)
+
+
+def _no_route(carpet_, marks):
+    raise RoutingError("stub: no route")
+
+
+def test_k5_routing_failure_names_its_copy(monkeypatch):
+    """A star that cannot be routed fails the scaffold with the index of the
+    first copy marked that way."""
+    monkeypatch.setattr(carpet, "embed_star_in_carpet", _no_route)
+    with pytest.raises(RoutingError, match="^stub: no route$") as excinfo:
+        build_k5_scaffold(level=2)
+    assert excinfo.value.carpet_index == 0
+    assert isinstance(excinfo.value.__cause__, RoutingError)
 
 
 def test_svg_outputs():

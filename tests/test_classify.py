@@ -126,6 +126,12 @@ def test_isolated_flats():
     with pytest.raises(ValueError):
         bad = make_system("ab", {("a", "b"): INF})
         isolated_flats_check(bad, build_nerve(bad))
+    # the nerve comes from the caller: a complete K_3 nerve given with a
+    # system whose vertex a has two label-2 edges
+    two_right_angles = make_system("abc", {("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 5})
+    message = "nerve inconsistency: vertex a has two incident edges labeled 2"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        isolated_flats_check(two_right_angles, build_nerve(complete_graph_system(3)))
 
 
 def test_report_json_schema():

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from coxbound import carpet
 from coxbound.cli import build_parser, main
+from test_carpet import _no_route
 
 
 K4_TEXT = "gens a b c d\n" + "\n".join(
@@ -142,8 +144,14 @@ def test_k5_command(tmp_path, capsys):
     assert (outdir / "scaffold.svg").exists()
 
 
-def test_k5_routing_failure_exit_code(capsys):
+def test_k5_routing_failure_exit_code(capsys, monkeypatch):
     assert main(["k5", "--level", "1"]) == 3
+    monkeypatch.setattr(carpet, "embed_star_in_carpet", _no_route)
+    capsys.readouterr()
+    assert main(["k5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "routing failure (carpet 0): stub: no route\n"
 
 
 def test_k5_byte_deterministic(tmp_path, capsys):
@@ -224,8 +232,10 @@ def test_ring_beyond_budget_is_input_error(tmp_path, capsys):
 
 
 def test_carpet_level_beyond_guard_is_input_error(capsys):
-    assert main(["carpet", "--level", "9"]) == 1
-    assert capsys.readouterr().err.startswith("error: level 9 exceeds guard")
+    for level, message in (("9", "level 9 exceeds guard 7"), ("-1", "level must be >= 0")):
+        assert main(["carpet", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", captured.err
 
 
 def test_unwritable_out_is_input_error(k4_file, tmp_path, capsys):

@@ -32,7 +32,7 @@ def oracle_coxeter_matrix(sys):
         for j in range(n):
             if i != j:
                 mij = sys.m(gens[i], gens[j])
-                m[i][j] = 0 if mij == INF else int(mij)
+                m[i][j] = INF if mij == INF else int(mij)
     return m
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ def test_complete_graph_nerve():
         assert len(nerve.edges()) == n * (n - 1) // 2
         ok, size = is_complete_1d_nerve(nerve)
         assert ok and size == n
+    with pytest.raises(ValueError, match="^max_dim must be >= 1$"):
+        build_nerve(complete_graph_system(3), 0)
 
 
 def test_edge_lengths():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxbound.system import (HYPERBOLIC, INF, CoxeterSystem, PresentationError,
-                             complete_graph_system, cosine_matrix, format_system,
-                             irreducible_components, is_finite_type, make_system,
+                             complete_graph_system, cosine_matrix, finite_coxeter_order,
+                             format_system, irreducible_components, is_finite_type, make_system,
                              parse_system, subgroup_order,
                              triangle_type)
 from coxbound.words import (WordContext, coxeter_relators, tits_normal_form,
@@ -219,6 +219,8 @@ def test_higher_rank_orders():
         lab[(g, "f")] = lab[("f", g)] = 2
     lab[("c", "f")] = lab[("f", "c")] = 3
     assert subgroup_order(make_system(gens, lab), gens) == 51840          # E6
+    with pytest.raises(ValueError, match="^unknown diagram X3$"):
+        finite_coxeter_order("X3")
 
 
 def test_complete_graph_system():
@@ -245,6 +247,10 @@ def test_names_outside_the_system_rejected():
         triangle_type(sysm, "xyw")
     with pytest.raises(ValueError):
         coxeter_relators(sysm, "xw")
+    with pytest.raises(ValueError, match="^letter 'zz' is not a generator$"):
+        tits_normal_form(sysm, ["zz"])
+    with pytest.raises(ValueError, match="^triangle_type needs exactly 3 distinct generators$"):
+        triangle_type(sysm, ("x", "x", "y"))
 
 
 def test_one_sided_orders_are_closed():

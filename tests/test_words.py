@@ -85,6 +85,14 @@ def test_todd_coxeter_incomplete_on_affine():
     assert table.order is None
 
 
+def test_enumeration_and_ball_bounds_rejected():
+    sysm = triangle(3, 3, 3)
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        todd_coxeter_enumerate(sysm, "xyz", cap=0)
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        cayley_ball(sysm, -1)
+
+
 def test_todd_coxeter_subsets():
     sysm = complete_graph_system(4)
     assert todd_coxeter_enumerate(sysm, []).order == 1
