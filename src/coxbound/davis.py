@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .classify import serre_fa_criterion
+from .classify import _array, serre_fa_criterion
 from .nerve import NerveComplex, edge_length_fraction
 from .system import (SPHERICAL, CoxeterSystem, cosine_matrix, geometric_representation,
                      triangle_type)
@@ -119,16 +119,33 @@ def link_matches_nerve(link: LinkGraph, nerve: NerveComplex) -> bool:
 
 
 def ball_to_json(ball: DavisBall) -> str:
-    return json.dumps({
-        "radius": ball.radius,
-        "vertices": [" ".join(v) for v in ball.vertices],
-        "edges": [[" ".join(a), " ".join(b), s] for a, b, s in ball.edges],
-        "faces": [
-            {"pair": [s, t], "cycle": [" ".join(v) for v in cyc]}
-            for s, t, cyc in ball.faces
-        ],
-        "euler_characteristic": euler_characteristic(ball),
-    }, indent=2)
+    """The ball as `json.dumps(..., indent=2)` writes {"radius", "vertices",
+    "edges", "faces", "euler_characteristic"}: each vertex as its generator
+    names joined by spaces, each edge as [g, gs, s] and each face as {"pair":
+    [s, t], "cycle": [its vertices]}.  Written directly for the fixed schema,
+    as `report_to_json` is: each generator name is escaped once, and a
+    vertex's string is its escaped names joined by spaces, since JSON escapes
+    a string character by character and leaves the space as it is."""
+    escaped = {g: json.dumps(g)[1:-1] for g in ball.system.generators}
+    quoted = {v: '"' + " ".join([escaped[g] for g in v]) + '"' for v in ball.vertices}
+    names = {g: f'"{e}"' for g, e in escaped.items()}
+    edges = [_EDGE.format(quoted[a], quoted[b], names[s]) for a, b, s in ball.edges]
+    faces = [_FACE.format(names[s], names[t], _array([quoted[v] for v in cycle], 3))
+             for s, t, cycle in ball.faces]
+    return "\n".join((
+        "{",
+        f'  "radius": {json.dumps(ball.radius)},',
+        f'  "vertices": {_array([quoted[v] for v in ball.vertices], 1)},',
+        f'  "edges": {_array(edges, 1)},',
+        f'  "faces": {_array(faces, 1)},',
+        f'  "euler_characteristic": {json.dumps(euler_characteristic(ball))}',
+        "}",
+    ))
+
+
+# one entry of "edges" and of "faces", laid out as `_array` lays out depth 2
+_EDGE = "[\n      {},\n      {},\n      {}\n    ]"
+_FACE = '{{\n      "pair": [\n        {},\n        {}\n      ],\n      "cycle": {}\n    }}'
 
 
 # --- triangle-group tessellations ---------------------------------------------

@@ -321,16 +321,38 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
     is symmetric: cols[x][a] == b iff cols[x][b] == a.  That symmetry enforces
     the involution relators s^2, whose scan at a coset would only define its
     empty entries, so each coset's row is filled in generator order and then
-    only `relators`, the triples (s, t, m) for (st)^m, are scanned; a scan
-    reads the columns of s and t alternately.  A coincidence moves a dead
-    coset's entries onto its representative, so a row that is full stays
-    full, and no coset needs a second fill after its scans.
+    only `relators`, the triples (s, t, m) for (st)^m with s != t, are scanned.
+    A coincidence moves a dead coset's entries onto its representative, so a
+    row that is full stays full, and no coset needs a second fill after its
+    scans.  The union-find holds only the dead cosets: `dead` maps each to the
+    smaller coset it merged into, `rep` walks it, and the order is n minus its
+    size.  An enumeration that meets no coincidence keeps it empty, so each
+    coset costs only its columns and marks.
+
+    Each relator is held as its word w of 2m column references, (cols[s],
+    cols[t]) * m, and a scan at alpha reads w by position.  The forward walk
+    from alpha follows w while entries exist: f is the coset after positions
+    0 .. i-1.  If it reads all of w, the cycle is closed (f == alpha) or f and
+    alpha coincide.  Otherwise the backward walk from alpha reads w from its
+    end: b is the coset before positions j+1 .. 2m-1.  If it reads position
+    i as well, f and b coincide.  Otherwise positions i .. j are open: j - i
+    new cosets are defined in a chain from f at positions i .. j-1, and
+    position j is deduced onto b.  These are the definitions, in the same
+    order, of HLT's loop that defines f * w[i] and walks both ends again.  A
+    new coset has an entry only in the column it was defined in, and the next
+    position reads the other column, so the forward walk stops at once on it.
+    The backward end cannot move either: the entry it reads next, b * w[j], is
+    written only if b == f and w[j] is w[i], that is, j - i is even.  The
+    table would then hold a path from alpha to alpha spelling w[0 .. i-1]
+    w[j+1 .. 2m-1], of odd length 2m - (j - i + 1).  But every path in the
+    table spells an equation of the group, and every relator has even length,
+    so no word of odd length is 1 in the group.
 
     A scan of (st)^m that completes closes the <s, t> cycle through its start,
     and every coset the scan walked through lies on that cycle.  The cycle
     stays closed at the representative of each of its cosets through every
     later coincidence, and a scan of (st)^m at a coset of a closed cycle is a
-    no-op.  So the walk marks each coset it reaches in the relator's
+    no-op.  So the walks mark each coset they reach in the relator's
     bytearray, and marked (coset, relator) pairs are not scanned again; a
     scan that hits the cap returns at once, so its marks are never read.
     Skipping only no-ops keeps the definition order, and so `cosets_defined`,
@@ -340,22 +362,21 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
     """
     size = min(cap, 64)               # allocated length of every array below
     cols = [[-1] * size for _ in range(n_gens)]
-    p = list(range(size))             # union-find parent, p[i] <= i
-    scans = [(cols[s], cols[t], 2 * m, bytearray(size)) for s, t, m in relators]
+    dead: dict[int, int] = {}         # dead coset -> the smaller coset it merged into
+    scans = [((cols[s], cols[t]) * m, 2 * m - 1, bytearray(size)) for s, t, m in relators]
     n = 1                             # cosets defined
 
     def grow() -> int:
         new = min(cap, 2 * size)
         for col in cols:
             col.extend([-1] * (new - size))
-        p.extend(range(size, new))
-        for _, _, _, mark in scans:
+        for _, _, mark in scans:
             mark.extend(bytes(new - size))
         return new
 
     def rep(k: int) -> int:
-        while p[k] != k:
-            k = p[k]
+        while k in dead:
+            k = dead[k]
         return k
 
     def merge(a: int, b: int, queue: list[int]) -> None:
@@ -363,7 +384,7 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
         if a != b:
             if a > b:
                 a, b = b, a
-            p[b] = a
+            dead[b] = a
             queue.append(b)
 
     def coincidence(a: int, b: int) -> None:
@@ -387,7 +408,7 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
 
     alpha = 0
     while alpha < n:
-        if p[alpha] != alpha:
+        if alpha in dead:
             alpha += 1
             continue
         for col in cols:
@@ -399,66 +420,68 @@ def _enumerate_cosets(n_gens: int, relators: list[tuple[int, int, int]],
                 col[alpha] = n
                 col[n] = alpha
                 n += 1
-        for cs, ct, last, mark in scans:
+        for word, j, mark in scans:
             if mark[alpha]:
                 continue
-            # forward from f at position i, backward from b at position j;
-            # even positions read s and odd positions read t, so each walk
-            # holds the column it reads next (fc, bc) and the other one, and
-            # swaps the pair after each step
-            f, i, b, j = alpha, 0, alpha, last - 1
-            fc, fn, bc, bn = cs, ct, ct, cs
-            while True:
-                while i <= j:
-                    d = fc[f]
-                    if d == -1:
-                        break
-                    f = d
-                    mark[d] = 1
-                    i += 1
-                    fc, fn = fn, fc
-                else:
-                    if f != b:
-                        coincidence(f, b)
+            # forward: f is the coset after positions 0 .. i-1 of the word
+            f, i = alpha, 0
+            for col in word:
+                d = col[f]
+                if d == -1:
                     break
-                while j >= i:
-                    d = bc[b]
-                    if d == -1:
-                        break
-                    b = d
-                    mark[d] = 1
-                    j -= 1
-                    bc, bn = bn, bc
-                else:
-                    coincidence(f, b)
+                f = d
+                mark[d] = 1
+                i += 1
+            else:
+                if f == alpha:
+                    continue
+            # backward: b is the coset before positions j+1 .. 2m-1
+            b = alpha
+            while j >= i:
+                d = word[j][b]
+                if d == -1:
                     break
-                if j == i:
-                    fc[f] = b
-                    fc[b] = f
+                b = d
+                mark[d] = 1
+                j -= 1
+            else:
+                coincidence(f, b)
+                if alpha in dead:
                     break
+                continue
+            # positions i .. j are open: a chain of new cosets at i .. j-1,
+            # then position j deduced onto b
+            while i < j:
                 if n == size:
                     if n == cap:
                         return False, 0, n
                     size = grow()
-                fc[f] = n
-                fc[n] = f
+                col = word[i]
+                col[f] = n
+                col[n] = f
+                f = n
+                mark[n] = 1
                 n += 1
-            if p[alpha] != alpha:
-                break
+                i += 1
+            col = word[j]
+            col[f] = b
+            col[b] = f
         alpha += 1
 
-    return True, sum(1 for k in range(n) if p[k] == k), n
+    return True, n - len(dead), n
 
 
 def todd_coxeter_enumerate(sys: CoxeterSystem, subset: Iterable[str],
                            cap: int = 100_000) -> CosetTable:
     """Enumerate the special subgroup generated by `subset` over the trivial
     subgroup.  A full table within `cap` cosets certifies finiteness and gives
-    the order; hitting the cap yields Incomplete (no infiniteness claim)."""
+    the order; hitting the cap yields Incomplete (no infiniteness claim).
+    Time and memory follow the cosets defined.  ValueError for a cap below 1,
+    or for the first name in `subset` that is not a generator."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    wanted = set(subset)
-    sub = tuple(g for g in sys.generators if g in wanted)
+    positions = {sys.index(g) for g in subset}
+    sub = tuple(g for k, g in enumerate(sys.generators) if k in positions)
     if not sub:
         return CosetTable(sub, True, 1, 1, cap)
     relators = coxeter_relators(sys, sub)

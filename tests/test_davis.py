@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 from itertools import combinations
@@ -85,6 +86,47 @@ def test_ball_requires_1d_nerve():
 def test_ball_json_deterministic():
     sysm = complete_graph_system(3)
     assert ball_to_json(build_davis_ball(sysm, 3)) == ball_to_json(build_davis_ball(sysm, 3))
+
+
+# --- the JSON writer against the general encoder ----------------------------------
+
+def _dumps_ball(ball):
+    """The ball's document as `json.dumps(..., indent=2)` writes it: the bytes
+    `ball_to_json` must reproduce."""
+    return json.dumps({
+        "radius": ball.radius,
+        "vertices": [" ".join(v) for v in ball.vertices],
+        "edges": [[" ".join(a), " ".join(b), s] for a, b, s in ball.edges],
+        "faces": [{"pair": [s, t], "cycle": [" ".join(v) for v in cyc]}
+                  for s, t, cyc in ball.faces],
+        "euler_characteristic": euler_characteristic(ball),
+    }, indent=2)
+
+
+ESCAPED_NAMES = ['"q"', "back\\slash", "tab\t", "\u00e9", "\u2603", "\U0001d54a"]
+
+
+@st.composite
+def named_balls(draw):
+    """Davis balls of rank 2-4 and radius 1-5 whose generator names JSON may
+    have to escape: quotes, backslashes, control and non-ASCII characters."""
+    rank = draw(st.integers(2, 4), label="rank")
+    names = draw(st.lists(st.sampled_from(ESCAPED_NAMES) | st.text(min_size=1, max_size=3),
+                          min_size=rank, max_size=rank, unique=True), label="names")
+    sysm = make_system(names, {pair: draw(st.sampled_from([2, 3, 4, 5, 6, 7, INF]))
+                               for pair in combinations(names, 2)})
+    assume(all(kind != SPHERICAL for *_, kind in sysm.non_hyperbolic_triples))
+    return build_davis_ball(sysm, draw(st.integers(1, 5), label="radius"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(named_balls())
+@example(build_davis_ball(make_system(ESCAPED_NAMES[:2], {tuple(ESCAPED_NAMES[:2]): 5}), 5))
+@example(build_davis_ball(make_system(ESCAPED_NAMES[3:], {}), 2))     # no faces
+def test_ball_json_matches_json_dumps(ball):
+    assert ball_to_json(ball) == _dumps_ball(ball)
+    bare = replace(ball, edges=(), faces=())
+    assert ball_to_json(bare) == _dumps_ball(bare)
 
 
 # --- the faces against their multiply-based oracle ---------------------------------
