@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import sys as _sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -27,13 +28,14 @@ from .nerve import build_nerve, nerve_to_json
 from .system import PresentationError, complete_graph_system, parse_system
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        _sys.stdout.write(text)
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write `text` to stdout, or to the file `out`, with exactly one final
+    newline either way.  A missing newline is a second write, so that the
+    document, which can be tens of MB, is never copied."""
+    with nullcontext(_sys.stdout) if out is None else open(out, "w") as f:
+        f.write(text)
         if not text.endswith("\n"):
-            _sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text)
+            f.write("\n")
 
 
 def _load_system(path: str):
@@ -132,8 +134,8 @@ def cmd_k5(args) -> int:
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "scaffold.json").write_text(scaffold_to_json(scaffold))
-        (outdir / "scaffold.svg").write_text(scaffold_svg(scaffold))
+        _emit(scaffold_to_json(scaffold), outdir / "scaffold.json")
+        _emit(scaffold_svg(scaffold), outdir / "scaffold.svg")
     elif args.format == "svg":
         _emit(scaffold_svg(scaffold), None)
     else:

@@ -5,6 +5,11 @@ one regular 2m_st-gon per coset of each finite dihedral pair <s,t>.  A face
 is attached only when its full vertex cycle lies inside the ball, so the
 frontier never carries partial polygons.  The faces are read off the Cayley
 ball's own up-edges, so the ball's products are computed once.
+
+The triangle tessellations are computed in plain floats from closed forms of
+the cosine matrix: chamber vertices are cross products of its rows, and the
+hyperbolic disk's frame is its fixed-order LDL^T, so the drawing is fixed by
+the labels and their generator order alone.
 """
 
 from __future__ import annotations
@@ -13,18 +18,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .classify import _array, serre_fa_criterion
 from .nerve import NerveComplex, edge_length_fraction
 from .system import (SPHERICAL, CoxeterSystem, cosine_matrix, geometric_representation,
                      triangle_type)
 from .words import cayley_ball, word_context
-
-# numpy is imported inside the functions that use it, not at module import:
-# only the tessellation uses it, and the classify path never loads it.
-if TYPE_CHECKING:
-    import numpy as np
 
 Vertex = tuple[str, ...]     # ShortLex normal form
 
@@ -153,18 +152,18 @@ _FACE = '{{\n      "pair": [\n        {},\n        {}\n      ],\n      "cycle": 
 def tessellation_svg(sys: CoxeterSystem, depth: int) -> str:
     """Render the reflection tessellation of a triangle group to SVG.
 
-    Euclidean and hyperbolic cases render in the plane / projective disk via
-    the geometric representation; spherical groups render their finite orbit
-    (orthographic projection).  Output bytes are deterministic for fixed input.
+    Euclidean groups unfold in the plane, hyperbolic ones render in the Klein
+    disk through the geometric representation, and spherical groups render
+    their finite orbit (orthographic projection).  Output bytes are
+    deterministic for fixed input.
     """
     tris, kind = tessellation_triangles(sys, depth)
     return _svg_document(tris, kind)
 
 
 def tessellation_triangles(sys: CoxeterSystem, depth: int):
-    """Planar triangle orbit backing tessellation_svg: (2d triangles, kind)."""
-    import numpy as np
-
+    """Planar triangle orbit backing tessellation_svg: (triangles, kind), each
+    triangle a list of three (x, y) float pairs."""
     if sys.rank != 3:
         raise ValueError("tessellation requires exactly 3 generators")
     if not serre_fa_criterion(sys):
@@ -181,52 +180,72 @@ def tessellation_triangles(sys: CoxeterSystem, depth: int):
         beta = math.pi / m_ac
         # vertices: P_ab at origin, P_ac at (1,0), P_bc above
         x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
-        tri0 = np.array([[0.0, 0.0], [1.0, 0.0], [x, x * math.tan(alpha)]])
+        tri0 = [(0.0, 0.0), (1.0, 0.0), (x, x * math.tan(alpha))]
         # edges (0,1), (1,2), (2,0) lie on the walls of generators 0, 2, 1,
         # and reflecting g(tri0) in its wall of s gives gs(tri0)
         moves = [(s, lambda tri, i=i, j=j: _reflect_across(tri, tri[i], tri[j]))
                  for i, j, s in ((0, 1, 0), (1, 2, 2), (2, 0, 1))]
         return _orbit(sys, tri0, moves, depth), kind
 
-    # Tits chamber: the vertex opposite generator i spans the nullspace of the
-    # 2x3 system B(v, e_j) = 0, j != i, and is normalized against the form:
-    # B(v, v) = 1 (spherical) or B(v, v) = -1 (hyperbolic)
+    # Tits chamber: the vertex opposite generator i is B-orthogonal to e_j and
+    # e_k, j < k the other two, so it is the cross product of rows j and k of
+    # B.  The sign that makes B(v, e_i) > 0 puts it in the closed fundamental
+    # chamber, and it is scaled to |B(v, v)| = 1, where B(v, v) = v_i B(v, e_i)
+    # since B(v, e_j) = B(v, e_k) = 0.  B(v, v) is never 0: all labels are
+    # finite, so B is positive definite on span(e_j, e_k) (its determinant is
+    # sin^2(pi/m_jk)).  A spherical B is positive definite, so B(v, v) > 0;
+    # a hyperbolic B has signature (2, 1), so the line B-orthogonal to that
+    # plane is negative, B(v, v) < 0.
     B = cosine_matrix(sys)
-    rows = []
+    tri0 = []
     for i in range(3):
-        _, _, vh = np.linalg.svd(B[[j for j in range(3) if j != i], :])
-        v = vh[-1]
-        q = float(v @ B @ v)
-        if kind == "hyperbolic":
-            # chamber vertices of a compact hyperbolic triangle lie in the negative cone
-            rows.append(v / math.sqrt(-q) if q < 0 else v / max(math.sqrt(abs(q)), 1e-12))
-        else:
-            rows.append(v / math.sqrt(q))
-    rhos = geometric_representation(sys)
+        (a0, a1, a2), (b0, b1, b2) = (B[j] for j in range(3) if j != i)
+        v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        side = B[i][0] * v[0] + B[i][1] * v[1] + B[i][2] * v[2]
+        norm = math.copysign(math.sqrt(abs(v[i] * side)), side)
+        tri0.append(tuple(c / norm for c in v))
     # rho(s) takes the chamber of g to that of sg; keyed by g^-1, that is the
-    # right multiply g^-1 s, as in the Euclidean case
-    moves = [(s, lambda tri, r=rho.T: tri @ r) for s, rho in enumerate(rhos)]
-    tris = _orbit(sys, np.array(rows), moves, depth)
+    # right multiply g^-1 s, as in the Euclidean case.  rho(s) changes only
+    # coordinate s, to row s of rho(s) dotted with the vertex.
+    moves = [(s, _reflection(rho[s], s)) for s, rho in enumerate(geometric_representation(sys))]
+    tris = _orbit(sys, tri0, moves, depth)
+    if kind == "spherical":
+        return [[(x, y) for x, y, _ in tri] for tri in tris], kind     # orthographic
 
-    if kind == "hyperbolic":
-        # Klein-type projective disk: diagonalize B to diag(1,1,-1), then (x,y) = (u1/u3, u2/u3)
-        evals, evecs = np.linalg.eigh(B)
-        order = np.argsort(evals)[::-1]          # positive, positive, negative
-        evals, evecs = evals[order], evecs[:, order]
-        scale = np.diag(np.sqrt(np.abs(evals)))
-        to_std = scale @ evecs.T
-        pts2d = []
-        for tri in tris:
-            std = (to_std @ tri.T).T
-            std = std * np.sign(std[:, 2:3])     # pick the upper sheet
-            pts2d.append(std[:, :2] / std[:, 2:3])
-    else:
-        pts2d = [tri[:, :2] for tri in tris]     # orthographic
+    # Klein disk: Gram-Schmidt of e_0, e_1, e_2 in the form B is B's LDL^T
+    # with L unit lower triangular, D = diag(1, d1, d2), and a point's
+    # coordinates in that B-orthogonal basis are c = L^T v, so that
+    # B(v, v) = c_0^2 + d1 c_1^2 + d2 c_2^2 with d1 > 0 > d2.  The disk point
+    # is (c_0, sqrt(d1) c_1) / (sqrt(-d2) c_2): the base chamber's vertex on
+    # the walls of generators 0 and 1 (c_0 = c_1 = 0) is the centre, and the
+    # wall of generator 0 (c_0 = B(e_0, v) = 0) is the y-axis.  A chamber
+    # vertex has B(v, v) < 0, so c_2 is never 0, and the projection is the
+    # same for v and -v.
+    (_, b01, b02), (_, _, b12), _ = B
+    d1 = 1.0 - b01 * b01
+    l21 = (b12 - b01 * b02) / d1
+    d2 = 1.0 - b02 * b02 - d1 * l21 * l21
+    r1, r2 = math.sqrt(d1), math.sqrt(-d2)
 
-    return pts2d, kind
+    def klein(x, y, z):
+        w = r2 * z
+        return (x + b01 * y + b02 * z) / w, r1 * (y + l21 * z) / w
+
+    return [[klein(*v) for v in tri] for tri in tris], kind
 
 
-def _orbit(sys: CoxeterSystem, tri0: np.ndarray, moves, depth: int) -> list[np.ndarray]:
+def _reflection(row, s: int):
+    """The move of generator s on a triangle of 3-vectors: coordinate s of
+    each vertex becomes `row` dotted with it, in index order."""
+    a, b, c = row
+    if s == 0:
+        return lambda tri: [(a * x + b * y + c * z, y, z) for x, y, z in tri]
+    if s == 1:
+        return lambda tri: [(x, a * x + b * y + c * z, z) for x, y, z in tri]
+    return lambda tri: [(x, y, a * x + b * y + c * z) for x, y, z in tri]
+
+
+def _orbit(sys: CoxeterSystem, tri0, moves, depth: int) -> list:
     """tri0 and its images under up to `depth` reflections, breadth first, each
     triangle once.  `moves` lists (generator, image function) in image order;
     each triangle is keyed by the ShortLex normal form of its group element,
@@ -248,18 +267,21 @@ def _orbit(sys: CoxeterSystem, tri0: np.ndarray, moves, depth: int) -> list[np.n
     return tris
 
 
-def _reflect_across(pts: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    d = q - p
-    d = d / np.linalg.norm(d)
-    rel = pts - p
-    proj = rel @ d
-    return p + 2.0 * np.outer(proj, d) - rel
+def _reflect_across(pts, p, q) -> list[tuple[float, float]]:
+    """The points `pts` reflected in the line through p and q."""
+    px, py = p
+    dx, dy = q[0] - px, q[1] - py
+    n = math.sqrt(dx * dx + dy * dy)
+    dx, dy = dx / n, dy / n
+    out = []
+    for x, y in pts:
+        rx, ry = x - px, y - py
+        proj = rx * dx + ry * dy
+        out.append((px + 2.0 * proj * dx - rx, py + 2.0 * proj * dy - ry))
+    return out
 
 
 def _svg_document(triangles, kind: str) -> str:
-    triangles = [tri.tolist() for tri in triangles]     # Python floats format faster
     xs = [p[0] for tri in triangles for p in tri]
     ys = [p[1] for tri in triangles for p in tri]
     pad = 0.1

@@ -5,8 +5,7 @@ predicate first brings its points to one common denominator, the product of
 their distinct denominators (all positive), and then decides every sign on
 the integer numerators: it builds no Fraction to compare and never divides.
 A Fraction appears only in what a function returns, a crossing point or a
-clip parameter.  No square roots appear anywhere (distances are compared
-squared).
+clip parameter.  No square roots appear anywhere.
 
 `segment_common` decides from the four orientations: a proper crossing, a
 collinear pair, or an endpoint of one segment on the other, and nothing
@@ -45,12 +44,6 @@ def _on_segment(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
         return False
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0 collinear."""
-    (a, b, c), _ = _numerators((a, b, c))
-    return _orient(a, b, c)
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -176,6 +169,3 @@ def segment_in_box(a: Point, b: Point, x0: Coord, y0: Coord, x1: Coord,
 def lerp(a: Point, b: Point, t: Fraction) -> Point:
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
-
-def dist2(a: Point, b: Point) -> Fraction:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2

@@ -5,7 +5,8 @@ m_st taking values in {2, 3, ...} or infinity (m_ss = 1 implicitly).  All
 finiteness decisions are made exactly: triangle types by an integer comparison
 of the labels, other subsets by matching irreducible diagram components against
 the classified finite types; no floating point is involved anywhere except in
-`geometric_representation`, which exists for rendering.
+`cosine_matrix` and `geometric_representation`, which exist for rendering and
+return plain tuples of float rows.
 
 A `CoxeterSystem` is checked and indexed once, when it is built, and this
 module is the only one that knows how its labels are stored: the other
@@ -19,12 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional
-
-# numpy is imported inside the functions that use it, not at module import:
-# only the Tits representation uses it, and the classify path never loads it.
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Optional
 
 INF = math.inf
 
@@ -285,20 +281,21 @@ def irreducible_components(sys: CoxeterSystem, subset: Iterable[str]) -> list[tu
     means the generators commute and live in different components.  Names
     outside the system are ignored.
     """
-    gens = sys.generators
-    return [tuple(gens[i] for i in comp) for comp in _component_positions(sys, subset)]
+    gens, position = sys.generators, sys.diagram_index[0]
+    comps = _component_positions(sys, (g for g in subset if g in position))
+    return [tuple(gens[i] for i in comp) for comp in comps]
 
 
 def _component_positions(sys: CoxeterSystem, subset: Iterable[str]) -> list[list[int]]:
-    """`irreducible_components` as lists of generator positions."""
+    """`irreducible_components` as lists of generator positions, with a
+    ValueError for the first name that is not a generator."""
     # subsets are bit masks over generator positions; each component grows from
     # its lowest member, so components come out in generator order, each sorted
-    position, neighbours = sys.diagram_index
+    neighbours = sys.diagram_index[1]
+    index = sys.index
     members = 0
     for g in subset:
-        i = position.get(g)
-        if i is not None:
-            members |= 1 << i
+        members |= 1 << index(g)
     comps = []
     while members:
         comp = frontier = members & -members
@@ -412,7 +409,8 @@ def is_finite_type(sys: CoxeterSystem, subset: Iterable[str]) -> FiniteTypeVerdi
 
     Exact, integer-only: each irreducible component is matched against the
     classified finite diagrams.  Cross-checked in the test suite against
-    Todd-Coxeter enumeration.
+    Todd-Coxeter enumeration.  ValueError for the first name in `subset`
+    that is not a generator.
     """
     names = []
     for comp in _component_positions(sys, subset):
@@ -443,7 +441,8 @@ def finite_coxeter_order(name: str) -> int:
 
 
 def subgroup_order(sys: CoxeterSystem, subset: Iterable[str]) -> Optional[int]:
-    """Order of a finite special subgroup, or None if infinite."""
+    """Order of a finite special subgroup, or None if infinite; ValueError
+    for a name that is not a generator, as in `is_finite_type`."""
     verdict = is_finite_type(sys, subset)
     if not verdict.finite:
         return None
@@ -455,30 +454,27 @@ def subgroup_order(sys: CoxeterSystem, subset: Iterable[str]) -> Optional[int]:
 
 # --- Tits geometric representation ------------------------------------------
 
-def cosine_matrix(sys: CoxeterSystem) -> np.ndarray:
-    """Bilinear form B with B[s][t] = -cos(pi/m_st), B[s][s] = 1."""
-    import numpy as np
-
-    B = np.full((sys.rank, sys.rank), -1.0)      # -cos(pi/m) -> -1 as m -> infinity
-    np.fill_diagonal(B, 1.0)
-    for i, j, m in sys._finite_pairs:
-        B[i, j] = B[j, i] = -math.cos(math.pi / m)
-    return B
+Matrix = tuple[tuple[float, ...], ...]
 
 
-def geometric_representation(sys: CoxeterSystem) -> list[np.ndarray]:
-    """Reflection matrices of the Tits representation, one per generator.
+def cosine_matrix(sys: CoxeterSystem) -> Matrix:
+    """Bilinear form B with B[s][t] = -cos(pi/m_st), B[s][s] = 1, as float
+    rows by generator position."""
+    # -cos(pi/m) -> -1 as m -> infinity
+    return tuple(tuple(1.0 if i == j else -1.0 if m == INF else -math.cos(math.pi / m)
+                       for j, m in enumerate(row)) for i, row in enumerate(sys.label_rows))
 
-    rho(s) x = x - 2 B(e_s, x) e_s; each matrix is an involution preserving
-    the cosine form, and rho(s) rho(t) has order m_st when finite.
+
+def geometric_representation(sys: CoxeterSystem) -> tuple[Matrix, ...]:
+    """Reflection matrices of the Tits representation, one per generator, as
+    float rows.
+
+    rho(s) x = x - 2 B(e_s, x) e_s: row s is e_s - 2 B[s], and every other row
+    is that of the identity.  Each matrix is an involution preserving the
+    cosine form, and rho(s) rho(t) has order m_st when finite.
     """
-    import numpy as np
-
     B = cosine_matrix(sys)
     n = sys.rank
-    mats = []
-    for i in range(n):
-        M = np.eye(n)
-        M[i, :] -= 2.0 * B[i, :]
-        mats.append(M)
-    return mats
+    unit = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+    return tuple(tuple(tuple(u - 2.0 * b for u, b in zip(unit[s], B[s])) if i == s else unit[i]
+                       for i in range(n)) for s in range(n))

@@ -20,8 +20,13 @@ from coxbound.carpet import (HOLED_DISK, T_RANGE, CarpetApprox, CarpetStar, K5Sc
                              star_family_point, verify_k5_graph,
                              verify_leg_family_disjointness,
                              verify_star_disjointness, verify_star_in_carpet)
-from coxbound.geometry import (DISJOINT, OVERLAP, POINT, Point, dist2, lerp,
+from coxbound.geometry import (DISJOINT, OVERLAP, POINT, Point, lerp,
                                segment_common, segment_in_box)
+
+
+def dist2(a: Point, b: Point) -> F:
+    """Squared distance, exact."""
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
 @dataclass(frozen=True)

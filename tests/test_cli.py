@@ -156,15 +156,15 @@ def test_k5_routing_failure_exit_code(capsys, monkeypatch):
 
 def test_k5_byte_deterministic(tmp_path, capsys):
     """Two --out runs write the same files, and the stdout formats print
-    their bytes: the SVG as written, the JSON with the newline that ends
-    every stdout artifact."""
+    their bytes as written: `--out` and stdout both end every artifact with
+    exactly one newline."""
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["k5", "--out", str(a)]) == 0
     assert main(["k5", "--out", str(b)]) == 0
     assert (a / "scaffold.json").read_bytes() == (b / "scaffold.json").read_bytes()
     assert (a / "scaffold.svg").read_bytes() == (b / "scaffold.svg").read_bytes()
     capsys.readouterr()
-    for fmt, tail in (("json", "\n"), ("svg", "")):
+    for fmt, tail in (("json", ""), ("svg", "")):
         assert main(["k5", "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert captured.out == (a / f"scaffold.{fmt}").read_text() + tail
@@ -172,6 +172,27 @@ def test_k5_byte_deterministic(tmp_path, capsys):
 
 
 K3_TEXT = "gens a b c\na b 3\nb c 3\na c 3\n"
+
+
+def test_out_file_holds_the_stdout_bytes(k4_file, tmp_path, capsys):
+    """Every command writes the same bytes to `--out` as to stdout, ending
+    with exactly one newline."""
+    k3 = tmp_path / "k3.cox"
+    k3.write_text("gens a b c\na b 2\nb c 3\na c 7\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (["classify", "--input", k4_file], ["nerve", "--input", k4_file],
+                 ["sweep", "--n-max", "3", "--labels", "2,3"],
+                 ["sweep", "--n-max", "3", "--format", "json"],
+                 ["davis-ball", "--input", str(k3), "--radius", "2"],
+                 ["tessellate", "--input", str(k3), "--depth", "2"],
+                 ["carpet", "--level", "1"], ["carpet", "--level", "1", "--format", "svg"]):
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed, argv
+        assert printed.endswith("\n") and not printed.endswith("\n\n"), argv
 
 
 def test_davis_ball_large_radius(tmp_path):

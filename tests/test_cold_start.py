@@ -1,11 +1,11 @@
-"""numpy loads only with the command that uses it, and networkx with none.
+"""No command loads numpy or networkx.
 
 Each command runs through `cli.main` in a fresh interpreter that imports the
-package from `src`, and then reports which of the two modules it loaded:
-`tessellate` is the one command that needs numpy.  The carpet router of `k5`
-runs on integer arrays, so no command loads networkx; it is a test
-dependency only, and `tests/test_networkx_guard.py` checks that no library
-module imports it.
+package from `src`, and then reports which of the two modules it loaded.
+`tessellate` draws its triangles in plain floats, and the carpet router of
+`k5` runs on integer arrays, so neither needs numpy or networkx; both are
+test dependencies only, and `tests/test_networkx_guard.py` checks that no
+library module imports them.
 """
 
 import json
@@ -58,7 +58,7 @@ COMMANDS = {
                    False, False),
     "carpet": (["carpet", "--level", "2", "--format", "svg", "--out", "{out}"], False, False),
     "tessellate": (["tessellate", "--input", "{k3}", "--depth", "3", "--out", "{out}"],
-                   True, False),
+                   False, False),
     "k5": (["k5", "--level", "2", "--out", "{out}"], False, False),
 }
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from itertools import combinations
@@ -13,8 +14,8 @@ from coxbound.davis import (build_davis_ball, ball_to_json,
                             tessellation_svg, tessellation_triangles,
                             vertex_link)
 from coxbound.nerve import build_nerve
-from coxbound.system import (HYPERBOLIC, INF, SPHERICAL, complete_graph_system, make_system,
-                             triangle_type)
+from coxbound.system import (EUCLIDEAN, HYPERBOLIC, INF, SPHERICAL, complete_graph_system,
+                             cosine_matrix, make_system, triangle_type)
 from coxbound.words import cayley_ball, word_context
 
 
@@ -306,7 +307,7 @@ def _orbit_triangles(sysm, depth):
 def _assert_one_triangle_per_group_element(sysm, depth):
     tris = _orbit_triangles(sysm, depth)
     assert len(tris) == cayley_ball(sysm, depth).size
-    vertex_sets = {tuple(sorted(tuple(round(x, 6) for x in row) for row in tri.tolist()))
+    vertex_sets = {tuple(sorted(tuple(round(x, 6) for x in row) for row in tri))
                    for tri in tris}
     assert len(vertex_sets) == len(tris)
 
@@ -329,3 +330,82 @@ def test_deep_hyperbolic_tessellation_counts_pinned(labels, depth, count):
     sysm = make_system("abc", {("a", "b"): ab, ("a", "c"): ac, ("b", "c"): bc})
     assert len(tessellation_triangles(sysm, depth)[0]) == count
     _assert_one_triangle_per_group_element(sysm, depth)
+
+
+# --- the chamber and the disk's frame ---------------------------------------------
+
+# labels (m_ab, m_bc, m_ac) and depth of the hyperbolic renders that
+# tests/test_output_digests.py pins, each in generator orders abc and cab
+HYPERBOLIC_PINS = [(gens, labels, depth) for labels, depth in
+                   (((2, 3, 7), 16), ((3, 3, 4), 10), ((4, 5, 6), 8)) for gens in ("abc", "cab")]
+
+
+def _labelled(gens, labels):
+    ab, bc, ac = labels
+    return make_system(gens, {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac})
+
+
+def _klein_distance(p, q):
+    """Hyperbolic distance of two points of the Klein disk."""
+    cosh = (1 - p[0] * q[0] - p[1] * q[1]) / math.sqrt(
+        (1 - p[0] ** 2 - p[1] ** 2) * (1 - q[0] ** 2 - q[1] ** 2))
+    return math.acosh(cosh)
+
+
+@pytest.mark.parametrize("gens,labels,depth", HYPERBOLIC_PINS)
+def test_hyperbolic_triangles_have_the_side_lengths_of_their_angles(gens, labels, depth):
+    """Vertex i of every drawn triangle, opposite generator i, has the angle
+    pi/m_jk of the other two walls, so by the hyperbolic law of cosines the
+    side opposite it has cosh a_i = (cos A_i + cos A_j cos A_k) / (sin A_j sin A_k)."""
+    sysm = _labelled(gens, labels)
+    rows = sysm.label_rows
+    turns = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    angle = {i: math.pi / rows[j][k] for i, j, k in turns}
+    side = {i: math.acosh((math.cos(angle[i]) + math.cos(angle[j]) * math.cos(angle[k]))
+                          / (math.sin(angle[j]) * math.sin(angle[k]))) for i, j, k in turns}
+    tris, kind = tessellation_triangles(sysm, depth)
+    assert kind == "hyperbolic" and len(tris) == cayley_ball(sysm, depth).size
+    for tri in tris:
+        for i, j, k in turns:
+            assert _klein_distance(tri[j], tri[k]) == pytest.approx(side[i], rel=1e-6)
+
+
+@pytest.mark.parametrize("gens,labels,depth", HYPERBOLIC_PINS)
+def test_disk_is_framed_by_the_base_chamber(gens, labels, depth):
+    """The base chamber's vertex on the walls of generators 0 and 1 (opposite
+    generator 2) is the disk's centre, and the wall of generator 0, through
+    the vertices opposite generators 1 and 2, is the y-axis."""
+    (v0, v1, v2), = tessellation_triangles(_labelled(gens, labels), 0)[0]
+    assert abs(v2[0]) < 1e-12 and abs(v2[1]) < 1e-12
+    assert abs(v1[0]) < 1e-12
+
+
+def _assert_base_chamber_is_fundamental(sysm):
+    """Each base-chamber vertex v_i lies on the walls of the other two
+    generators, on the positive side B(v_i, e_i) > 0 of its own, and has
+    |B(v_i, v_i)| = 1, with the sign of the geometry."""
+    B = cosine_matrix(sysm)
+    sign = 1 if triangle_type(sysm, sysm.generators) == SPHERICAL else -1
+    tri0 = _orbit_triangles(sysm, 0)[0]
+    for i, v in enumerate(tri0):
+        form = [sum(B[j][k] * v[k] for k in range(3)) for j in range(3)]
+        assert form[i] > 0
+        assert all(abs(form[j]) < 1e-12 for j in range(3) if j != i)
+        assert sum(form[j] * v[j] for j in range(3)) == pytest.approx(sign, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels", [(2, 2, 2), (2, 2, 7), (2, 3, 3), (2, 3, 4), (2, 3, 5),
+                                    (2, 3, 7), (3, 3, 4), (4, 5, 6), (7, 7, 7)])
+@pytest.mark.parametrize("gens", ["abc", "bca", "cab"])
+def test_base_chamber_is_the_fundamental_chamber(gens, labels):
+    """Spherical and hyperbolic, reducible A1 x I2(m) in all three generator
+    orders included, which an arbitrary sign per vertex drew as an image of
+    the fundamental chamber."""
+    _assert_base_chamber_is_fundamental(_labelled(gens, labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangle_systems())
+def test_base_chamber_is_fundamental_for_any_labels(sysm):
+    assume(triangle_type(sysm, sysm.generators) != EUCLIDEAN)
+    _assert_base_chamber_is_fundamental(sysm)

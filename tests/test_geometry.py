@@ -3,12 +3,19 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxbound.geometry import (DISJOINT, OVERLAP, POINT, on_segment, orient,
-                               segment_common, segment_in_box)
+from coxbound.geometry import (DISJOINT, OVERLAP, POINT, _numerators, _orient,
+                               on_segment, segment_common, segment_in_box)
 
 
 def P(x, y):
     return (F(x), F(y))
+
+
+def orient(a, b, c):
+    """Sign of the cross product (b-a) x (c-a): +1 left turn, -1 right, 0
+    collinear, from the library's predicate on common-denominator numerators."""
+    (a, b, c), _ = _numerators((a, b, c))
+    return _orient(a, b, c)
 
 
 def test_orient_sign():

@@ -1,11 +1,13 @@
-"""No library module imports networkx.
+"""No library module imports networkx or numpy.
 
-networkx is a test dependency only: the tests keep it as the router's oracle,
-and the library routes on its own integer arrays.  `test_cold_start.py` runs
-each command and sees what it loads, but not a library function that no
-command calls.  So this walks each module's syntax tree and fails on any
-`import networkx` or `from networkx... import`, at module level or nested in
-a function, class or `TYPE_CHECKING` block.
+Both are test dependencies only: the tests keep networkx as the router's
+oracle and numpy for matrix oracles, while the library routes on its own
+integer arrays and draws its tessellations in plain floats.
+`test_cold_start.py` runs each command and sees what it loads, but not a
+library function that no command calls.  So this walks each module's syntax
+tree and fails on any `import networkx` / `import numpy` or `from networkx...`
+/ `from numpy... import`, at module level or nested in a function, class or
+`TYPE_CHECKING` block.
 """
 
 import ast
@@ -14,9 +16,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxbound"
 
 
-def networkx_imports(source: str) -> list[int]:
+def package_imports(source: str, package: str) -> list[int]:
     """The lines, in order, of the import statements in `source` that name
-    networkx or one of its submodules."""
+    `package` or one of its submodules."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -25,9 +27,23 @@ def networkx_imports(source: str) -> list[int]:
             modules = [node.module]
         else:
             continue
-        if any(m == "networkx" or m.startswith("networkx.") for m in modules):
+        if any(m == package or m.startswith(package + ".") for m in modules):
             found.append(node.lineno)
     return sorted(found)
+
+
+def networkx_imports(source: str) -> list[int]:
+    return package_imports(source, "networkx")
+
+
+def numpy_imports(source: str) -> list[int]:
+    return package_imports(source, "numpy")
+
+
+def _library_imports(find) -> dict[str, list[int]]:
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    return {p.name: lines for p in modules if (lines := find(p.read_text()))}
 
 
 def test_networkx_imports_detected():
@@ -40,7 +56,17 @@ def test_networkx_imports_detected():
 
 
 def test_no_library_module_imports_networkx():
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
-    found = {p.name: lines for p in modules if (lines := networkx_imports(p.read_text()))}
-    assert found == {}
+    assert _library_imports(networkx_imports) == {}
+
+
+def test_numpy_imports_detected():
+    source = ("import numpy as np\n"
+              "def f():\n    from numpy.linalg import svd\n"
+              "class K:\n    def g(self):\n        import os, numpy\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "import numpyx\nfrom .numpy import x\nnp = None\n")
+    assert numpy_imports(source) == [1, 3, 6, 8]
+
+
+def test_no_library_module_imports_numpy():
+    assert _library_imports(numpy_imports) == {}

@@ -6,8 +6,10 @@ code before the carpet kept only its level; the report and nerve digests from
 the code before the nerve was decided from the labels and the report got its
 own JSON writer; the level-4 and level-5 carpet and level-3 scaffold drawings
 from the code that still drew them from `Fraction` squares; the level-4
-scaffold from the code that still routed one star per copy.  A refactor of
-those paths has to keep every byte."""
+scaffold from the code that still routed one star per copy; the six
+hyperbolic tessellations from the code that framed the Klein disk by the
+cosine matrix's LDL^T, each the earlier picture under one Lorentz map.  A
+refactor of those paths has to keep every byte."""
 
 import hashlib
 from itertools import combinations
@@ -53,17 +55,17 @@ DIGESTS = {
     "tessellation_svg cab (2, 3, 6) depth 16":
         "f664d83480e3869f048917187cc8975ac8a705c86ab86214f8c96b24ca2b66b0",
     "tessellation_svg abc (2, 3, 7) depth 16":
-        "57179db8fa192e26fd776ee3be393967a8829bdd6106edb32245376dcc7566b0",
+        "bb9592bf8bc4f5fb38aefb6110afd36ca2c6597d949223d88dc7f83831135a62",
     "tessellation_svg cab (2, 3, 7) depth 16":
-        "58f55849873d2352420f6e59ef32098200d3e0dc37c5954a18b0dbc74622b118",
+        "bebdbbd4f3ba2e0570d6cde8434a21c98b6e5651f9e4c9274c8a7e929137d5f3",
     "tessellation_svg abc (3, 3, 4) depth 10":
-        "2085f8975532ed4fb21e52742b7881aafd8bfcf639f37ba80f164e70b1471233",
+        "d73f366ab5e0a6e0deaa3d25b0c89d5316816357e7c42bc830ac59eabb833c75",
     "tessellation_svg cab (3, 3, 4) depth 10":
-        "0d75eb68daa0d4f38daac60cce5bfb08983cdcce53053b535d4deb710a25ce1b",
+        "b0dad1a20ead2632d54d5dedb124805086d38a1a8beee5cf5e8ce56564ff49be",
     "tessellation_svg abc (4, 5, 6) depth 8":
-        "9b90a427a196e9fc4d860b4857823b51f39936bc7c65e7682b21d000785467f1",
+        "a1b5c678ec5474255fbd2cbba7bcf932c54d32317a941808ed5bcf0be7787b8c",
     "tessellation_svg cab (4, 5, 6) depth 8":
-        "520e390e6090faf7e5607717a0cceea0a5ac36320b90508a0a08ba0cdc1137f5",
+        "15ab431059811e2022cd9b1240a3a063249bc2ff5aad9263395779cf55a161e6",
     "carpet_svg level 3":
         "bfe0fcbcf73d2844ef66daf58b046e94253634327855eb918bae511bc236e95b",
     "carpet_svg level 4":

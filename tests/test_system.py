@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from coxbound.system import (HYPERBOLIC, INF, CoxeterSystem, PresentationError,
                              complete_graph_system, cosine_matrix, finite_coxeter_order,
-                             format_system, irreducible_components, is_finite_type, make_system,
-                             parse_system, subgroup_order,
+                             format_system, geometric_representation, irreducible_components,
+                             is_finite_type, make_system, parse_system, subgroup_order,
                              triangle_type)
 from coxbound.words import (WordContext, coxeter_relators, tits_normal_form,
                             todd_coxeter_enumerate)
@@ -251,6 +251,12 @@ def test_names_outside_the_system_rejected():
         tits_normal_form(sysm, ["zz"])
     with pytest.raises(ValueError, match="^triangle_type needs exactly 3 distinct generators$"):
         triangle_type(sysm, ("x", "x", "y"))
+    # the first name that is not a generator, as `todd_coxeter_enumerate` names it
+    k3 = complete_graph_system(3)
+    for subset in (["bogus"], ["s1", "bogus"], ["s2", "bogus", "x"]):
+        for decide in (is_finite_type, subgroup_order):
+            with pytest.raises(ValueError, match="^'bogus' is not a generator$"):
+                decide(k3, subset)
 
 
 def test_one_sided_orders_are_closed():
@@ -277,10 +283,31 @@ def test_make_system_rejects_asymmetric_labels():
 def test_cosine_matrix_values():
     sysm = triangle(2, 3, 4)
     B = cosine_matrix(sysm)
-    assert B[0, 0] == 1.0
-    assert B[0, 1] == pytest.approx(-math.cos(math.pi / 2))
-    assert B[1, 2] == pytest.approx(-math.cos(math.pi / 3))
-    assert B[0, 2] == pytest.approx(-math.cos(math.pi / 4))
+    assert B[0][0] == 1.0
+    assert B[0][1] == pytest.approx(-math.cos(math.pi / 2))
+    assert B[1][2] == pytest.approx(-math.cos(math.pi / 3))
+    assert B[0][2] == pytest.approx(-math.cos(math.pi / 4))
+
+
+@pytest.mark.parametrize("labels", [(2, 3, 4), (2, 3, 7), (5, 5, INF)])
+def test_geometric_representation_is_the_tits_representation(labels):
+    """Each rho(s) is an involution that preserves B, changes only row s, and
+    rho(s) rho(t) has order m_st."""
+    sysm = triangle(*labels)
+    B = np.array(cosine_matrix(sysm))
+    rhos = [np.array(rho) for rho in geometric_representation(sysm)]
+    rows = sysm.label_rows
+    for s, rho in enumerate(rhos):
+        assert np.allclose(rho @ rho, np.eye(3))
+        assert np.allclose(rho.T @ B @ rho, B)
+        assert np.array_equal(np.delete(rho, s, axis=0), np.delete(np.eye(3), s, axis=0))
+        for t in range(s + 1, 3):
+            if rows[s][t] != INF:
+                m = int(rows[s][t])
+                power = np.linalg.matrix_power(rho @ rhos[t], m)
+                assert np.allclose(power, np.eye(3))
+                assert not any(np.allclose(np.linalg.matrix_power(rho @ rhos[t], k), np.eye(3))
+                               for k in range(1, m))
 
 
 # --- properties ---------------------------------------------------------------
