@@ -23,14 +23,14 @@ cells too.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from .classify import _array
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
                        segment_common, segment_in_box)
 
@@ -634,6 +634,13 @@ class K5Scaffold:
         return {(i, j): mark for i, star in enumerate(self.stars)
                 for j, mark in zip(_others(i), star.marks)}
 
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """The pairs (i, j), i < j, where copy i has a mark for copy j or copy
+        j one for copy i, in increasing order: the edges that
+        `scaffold_to_json` lists and `scaffold_svg` draws."""
+        return sorted({tuple(sorted(k)) for k in self.marks})
+
     def adjacency(self):
         adj = [[0] * 5 for _ in range(5)]
         for i in range(5):
@@ -710,47 +717,100 @@ def verify_k5_graph(s: K5Scaffold) -> bool:
 
 
 def scaffold_to_json(s: K5Scaffold) -> str:
-    def pt(p):
-        return [str(p[0]), str(p[1])]
+    """The scaffold as `json.dumps(..., indent=2)` writes {"level",
+    "vertices", "edges", "adjacency", "stars"}: the vertices "v1" to "v5";
+    each pair (i, j) of `edges` as ["v<i+1>", "v<j+1>"]; the 5 x 5 0/1
+    `adjacency`; and per copy i, {"carpet": i, "center": [x, y], "legs":
+    [{"to_carpet": j, "polyline": [[x, y], ...]}, ...]}, leg k going to
+    copy `_others(i)[k]` and every coordinate written as the str of its
+    `Fraction`.  Written directly for the fixed schema, as `report_to_json`
+    is: such a str needs no JSON escaping, and the polylines of a star that
+    several copies share are laid out once."""
+    polylines: dict[int, list[str]] = {}    # by identity, as verify_k5_graph keys stars
+    stars = []
+    for i, st in enumerate(s.stars):
+        if id(st) not in polylines:
+            polylines[id(st)] = [_array([_POINT.format(str(x), str(y)) for x, y in leg], 5)
+                                 for leg in st.legs]
+        legs = [_LEG.format(j, p) for j, p in zip(_others(i), polylines[id(st)])]
+        x, y = st.center
+        stars.append(_STAR.format(i, str(x), str(y), _array(legs, 3)))
+    adjacency = [_array([str(a) for a in row], 2) for row in s.adjacency()]
+    return "\n".join((
+        "{",
+        f'  "level": {s.level},',
+        f'  "vertices": {_VERTICES},',
+        f'  "edges": {_array([_EDGE.format(i + 1, j + 1) for i, j in s.edges], 1)},',
+        f'  "adjacency": {_array(adjacency, 1)},',
+        f'  "stars": {_array(stars, 1)}',
+        "}",
+    ))
 
-    edges = sorted({tuple(sorted(k)) for k in s.marks})
-    return json.dumps({
-        "level": s.level,
-        "vertices": [f"v{i+1}" for i in range(5)],
-        "edges": [[f"v{i+1}", f"v{j+1}"] for i, j in edges],
-        "adjacency": s.adjacency(),
-        "stars": [
-            {
-                "carpet": i,
-                "center": pt(st.center),
-                "legs": [
-                    {"to_carpet": j, "polyline": [pt(p) for p in leg]}
-                    for j, leg in zip(_others(i), st.legs)
-                ],
-            }
-            for i, st in enumerate(s.stars)
-        ],
-    }, indent=2)
+
+# entries of the scaffold document, each laid out as `_array` lays out an
+# entry of its array: an edge and a star (with its center) in arrays of
+# depth 1, a leg in one of depth 3 and a polyline point in one of depth 5
+_VERTICES = _array([f'"v{i + 1}"' for i in range(5)], 1)
+_EDGE = '[\n      "v{}",\n      "v{}"\n    ]'
+_STAR = ('{{\n      "carpet": {},\n      "center": [\n        "{}",\n        "{}"\n'
+         '      ],\n      "legs": {}\n    }}')
+_LEG = '{{\n          "to_carpet": {},\n          "polyline": {}\n        }}'
+_POINT = '[\n              "{}",\n              "{}"\n            ]'
 
 
 # --- SVG rendering ----------------------------------------------------------------
 
-def carpet_svg(c: CarpetApprox) -> str:
-    size = 600.0
+def _hole_rects(c: CarpetApprox, side: float, ox: float, oy: float, spec: str,
+                style: str) -> Iterator[str]:
+    """Yield one `<rect ... style/>` per removed square of `c`, in `removed`
+    order, for the carpet drawn as the square of side `side` whose top left
+    corner is (ox, oy), y pointing down: the cell (x, y, s) has x = ox + x/n*side,
+    y = oy + side - y/n*side - s/n*side and width and height s/n*side, with
+    n = 3^level, each written with the format `spec`.
+
+    Every string is formatted once, from exactly that float expression
+    evaluated in that order (an algebraically equal one may round
+    differently): x from a list by grid integer, the width by side (a power
+    of 3 below n), and y, with the rest of the element, once per pair
+    (y, s), since removed squares share few rows."""
     n = 3 ** c.level
-    body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>']
+    at = [k / n * side for k in range(n + 1)]   # k / n rounds correctly: float(Fraction(k, n))
+    xs = [format(ox + v, spec) for v in at]
+    widths = {3 ** k: format(at[3 ** k], spec) for k in range(c.level)}
+    tails: dict[tuple[int, int], str] = {}
     for x, y, s in c.removed:
-        # x / n rounds correctly, so it is float(Fraction(x, n))
-        x, y, s = x / n * size, y / n * size, s / n * size
-        body.append(f'<rect x="{x:.3f}" y="{size - y - s:.3f}" width="{s:.3f}" '
-                    f'height="{s:.3f}" fill="#ffffff" stroke="#999" stroke-width="0.5"/>')
+        tail = tails.get((y, s))
+        if tail is None:
+            w = widths[s]
+            tail = tails[y, s] = (f'{format(oy + side - at[y] - at[s], spec)}" '
+                                  f'width="{w}" height="{w}" {style}/>')
+        yield f'<rect x="{xs[x]}" y="{tail}'
+
+
+def carpet_svg(c: CarpetApprox) -> str:
+    """The carpet on a 600 x 600 canvas: a background `<rect>`, then one
+    white `<rect>` per removed square in `removed` order, x, y, width and
+    height written `.3f` from x/n*600 and the like (`_hole_rects`, y pointing
+    down), n = 3^level."""
+    size = 600.0
+    body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>',
+            *_hole_rects(c, size, 0.0, 0.0, ".3f",
+                         'fill="#ffffff" stroke="#999" stroke-width="0.5"')]
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
             f'viewBox="0 0 {size:.0f} {size:.0f}">\n' + "\n".join(body) + "\n</svg>\n")
 
 
 def scaffold_svg(s: K5Scaffold) -> str:
-    """Figure-2 style diagram: five carpets in a ring, dotted identification
-    edges between paired peripheral circles."""
+    """Figure-2 style diagram on a 1200 x 1200 canvas: five 280 x 280
+    carpets in a ring, then dotted identification edges between paired
+    peripheral circles.  Per copy i, in order: its frame `<rect>` (`.1f`),
+    its removed squares (`_hole_rects`, `.2f`), one `<polyline>` per leg, a
+    `<circle>` at the star's center and a `<text>` label; then one `<line>`
+    per pair of `edges`.  A point p of copy i, whose frame's top left corner
+    is (ox, oy), is drawn at (ox + float(p_x)*280, oy + (280 - float(p_y)*280)),
+    written `.2f`.  A leg point's products are computed once per distinct
+    star and each x and y string of its legs once per copy, from that
+    expression in that order."""
     size, cs = 1200.0, 280.0
     centers = []
     for i in range(5):
@@ -758,28 +818,36 @@ def scaffold_svg(s: K5Scaffold) -> str:
         centers.append((size / 2 + 400 * math.cos(ang) - cs / 2,
                         size / 2 - 400 * math.sin(ang) - cs / 2))
     body = []
+    products: dict[int, tuple] = {}     # by star identity, see below
 
     def to_abs(i, p):
         ox, oy = centers[i]
         return (ox + float(p[0]) * cs, oy + (cs - float(p[1]) * cs))
 
-    n = 3 ** s.level
-    holes = [(x / n * cs, y / n * cs, side / n * cs) for x, y, side in s.carpet.removed]
     for i, star in enumerate(s.stars):
         ox, oy = centers[i]
         body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
                     'fill="#e8e0d0" stroke="#555"/>')
-        for x, y, side in holes:
-            body.append(f'<rect x="{ox + x:.2f}" y="{oy + cs - y - side:.2f}" width="{side:.2f}" '
-                        f'height="{side:.2f}" fill="#ffffff" stroke="#aaa" stroke-width="0.4"/>')
-        for leg in star.legs:
-            pts = " ".join("{:.2f},{:.2f}".format(*to_abs(i, p)) for p in leg)
+        body += _hole_rects(s.carpet, cs, ox, oy, ".2f",
+                            'fill="#ffffff" stroke="#aaa" stroke-width="0.4"')
+        if id(star) not in products:
+            # the legs as (x*280, 280 - y*280), then their distinct values;
+            # x.numerator / x.denominator is float(x): int division rounds correctly
+            legs = [[(x.numerator / x.denominator * cs, cs - y.numerator / y.denominator * cs)
+                     for x, y in leg] for leg in star.legs]
+            products[id(star)] = (legs, {a for leg in legs for a, _ in leg},
+                                  {b for leg in legs for _, b in leg})
+        legs, a_values, b_values = products[id(star)]
+        xs = {a: format(ox + a, ".2f") for a in a_values}
+        ys = {b: format(oy + b, ".2f") for b in b_values}
+        for leg in legs:
+            pts = " ".join([xs[a] + "," + ys[b] for a, b in leg])
             body.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" stroke-width="1.5"/>')
         cx, cy = to_abs(i, star.center)
         body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#b03030"/>')
         body.append(f'<text x="{ox + cs / 2:.1f}" y="{oy - 8:.1f}" text-anchor="middle" '
                     f'font-size="18">carpet {i + 1}</text>')
-    for (i, j) in sorted({tuple(sorted(k)) for k in s.marks}):
+    for i, j in s.edges:
         a = to_abs(i, s.marks[(i, j)].point)
         b = to_abs(j, s.marks[(j, i)].point)
         body.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -527,6 +529,128 @@ def test_svg_outputs():
     doc = scaffold_svg(s)
     assert "<svg" in doc and "</svg>" in doc
     assert doc == scaffold_svg(build_k5_scaffold(level=2))
+
+
+# --- the writers against the formulas they replaced --------------------------------
+
+def _scaffold_dict(s: K5Scaffold) -> dict:
+    """The scaffold document as a dict, edges read off the marks here:
+    `json.dumps(_scaffold_dict(s), indent=2)` is `scaffold_to_json`'s byte
+    oracle."""
+    def pt(p):
+        return [str(p[0]), str(p[1])]
+
+    edges = sorted({tuple(sorted(k)) for k in s.marks})
+    return {
+        "level": s.level,
+        "vertices": [f"v{i+1}" for i in range(5)],
+        "edges": [[f"v{i+1}", f"v{j+1}"] for i, j in edges],
+        "adjacency": s.adjacency(),
+        "stars": [
+            {
+                "carpet": i,
+                "center": pt(st.center),
+                "legs": [
+                    {"to_carpet": j, "polyline": [pt(p) for p in leg]}
+                    for j, leg in zip([k for k in range(5) if k != i], st.legs)
+                ],
+            }
+            for i, st in enumerate(s.stars)
+        ],
+    }
+
+
+def _carpet_svg_oracle(c: CarpetApprox) -> str:
+    """`carpet_svg` as four float formats per removed square."""
+    size = 600.0
+    n = 3 ** c.level
+    body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>']
+    for x, y, s in c.removed:
+        x, y, s = x / n * size, y / n * size, s / n * size
+        body.append(f'<rect x="{x:.3f}" y="{size - y - s:.3f}" width="{s:.3f}" '
+                    f'height="{s:.3f}" fill="#ffffff" stroke="#999" stroke-width="0.5"/>')
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
+            f'viewBox="0 0 {size:.0f} {size:.0f}">\n' + "\n".join(body) + "\n</svg>\n")
+
+
+def _scaffold_svg_oracle(s: K5Scaffold) -> str:
+    """`scaffold_svg` as float formats per hole rectangle and per leg point."""
+    size, cs = 1200.0, 280.0
+    centers = []
+    for i in range(5):
+        ang = math.pi / 2 + 2 * math.pi * i / 5
+        centers.append((size / 2 + 400 * math.cos(ang) - cs / 2,
+                        size / 2 - 400 * math.sin(ang) - cs / 2))
+    body = []
+
+    def to_abs(i, p):
+        ox, oy = centers[i]
+        return (ox + float(p[0]) * cs, oy + (cs - float(p[1]) * cs))
+
+    n = 3 ** s.level
+    holes = [(x / n * cs, y / n * cs, side / n * cs) for x, y, side in s.carpet.removed]
+    for i, star in enumerate(s.stars):
+        ox, oy = centers[i]
+        body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
+                    'fill="#e8e0d0" stroke="#555"/>')
+        for x, y, side in holes:
+            body.append(f'<rect x="{ox + x:.2f}" y="{oy + cs - y - side:.2f}" width="{side:.2f}" '
+                        f'height="{side:.2f}" fill="#ffffff" stroke="#aaa" stroke-width="0.4"/>')
+        for leg in star.legs:
+            pts = " ".join("{:.2f},{:.2f}".format(*to_abs(i, p)) for p in leg)
+            body.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" stroke-width="1.5"/>')
+        cx, cy = to_abs(i, star.center)
+        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#b03030"/>')
+        body.append(f'<text x="{ox + cs / 2:.1f}" y="{oy - 8:.1f}" text-anchor="middle" '
+                    f'font-size="18">carpet {i + 1}</text>')
+    for (i, j) in sorted({tuple(sorted(k)) for k in s.marks}):
+        a = to_abs(i, s.marks[(i, j)].point)
+        b = to_abs(j, s.marks[(j, i)].point)
+        body.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '
+                    'stroke="#3050b0" stroke-width="1" stroke-dasharray="5,4"/>')
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
+            f'viewBox="0 0 {size:.0f} {size:.0f}">\n' + "\n".join(body) + "\n</svg>\n")
+
+
+@lru_cache(maxsize=None)
+def _scaffold(level: int, seed) -> K5Scaffold:
+    return build_k5_scaffold(level, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.sampled_from((2, 3)), seed=st.none() | st.integers(0, 11),
+       stars=st.integers(0, 5), legs=st.lists(st.integers(0, 4), min_size=5, max_size=5))
+@example(level=4, seed=None, stars=5, legs=[4] * 5)
+@example(level=2, seed=1, stars=0, legs=[4] * 5)
+@example(level=3, seed=2, stars=5, legs=[0, 1, 2, 3, 4])
+def test_scaffold_json_matches_json_dumps(level, seed, stars, legs):
+    """`scaffold_to_json` writes the bytes `json.dumps(..., indent=2)` writes
+    for the document's dict: on seeded level-2 and level-3 scaffolds and the
+    unseeded level-4 one, and on copies cut to their first `stars` stars,
+    star i to its first legs[i] legs and marks (empty stars, legs and edges
+    included)."""
+    s = _scaffold(level, seed)
+    cut = K5Scaffold(s.carpet, tuple(
+        CarpetStar(star.center, star.legs[:k], star.marks[:k])
+        for star, k in zip(s.stars[:stars], legs)))
+    for scaffold in (s, cut):
+        assert scaffold_to_json(scaffold) == json.dumps(_scaffold_dict(scaffold), indent=2)
+        assert scaffold.edges == sorted({tuple(sorted(k)) for k in scaffold.marks})
+
+
+def test_carpet_svg_matches_per_rectangle_formulas():
+    for level in range(7):
+        c = build_carpet_approx(level)
+        assert carpet_svg(c) == _carpet_svg_oracle(c), level
+
+
+def test_scaffold_svg_matches_per_point_formulas():
+    """Levels 2-4, unseeded (one star shared by all five copies) and seeded
+    (distinct stars, marks on every side)."""
+    for level, seed in ((2, None), (2, 1), (2, 2), (2, 5), (3, None), (3, 1), (3, 7),
+                        (4, None), (4, 3)):
+        s = _scaffold(level, seed)
+        assert scaffold_svg(s) == _scaffold_svg_oracle(s), (level, seed)
 
 
 # --- the prefiltered verifier against a brute-force oracle --------------------------

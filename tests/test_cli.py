@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from coxbound import carpet
+from coxbound import carpet, cli
 from coxbound.cli import build_parser, main
 from test_carpet import _no_route
 
@@ -145,13 +145,29 @@ def test_k5_command(tmp_path, capsys):
 
 
 def test_k5_routing_failure_exit_code(capsys, monkeypatch):
-    assert main(["k5", "--level", "1"]) == 3
+    assert main(["k5", "--level", "1"]) == 1
     monkeypatch.setattr(carpet, "embed_star_in_carpet", _no_route)
     capsys.readouterr()
     assert main(["k5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "routing failure (carpet 0): stub: no route\n"
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("no carpet may be built")
+
+
+def test_k5_level_below_2_is_input_error(capsys, monkeypatch):
+    """`k5 --level` below 2 is refused as an input error before any carpet
+    is built: exit 1, nothing on stdout and one `error:` line."""
+    monkeypatch.setattr(carpet, "build_carpet_approx", _never_called)
+    monkeypatch.setattr(cli, "build_k5_scaffold", _never_called)
+    for level in ("-1", "0", "1"):
+        assert main(["k5", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: k5 needs --level >= 2, got {level}\n"
 
 
 def test_k5_byte_deterministic(tmp_path, capsys):
