@@ -9,8 +9,9 @@ every square of it, kept, removed, marked or the outer boundary, is an
 integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
 One table, `hole_at`, answers for every cell whether it is kept and which
 removed square covers it otherwise; every other membership question reads it.
-The star-embedding router works on the corridor graph of kept cells, held as
-integer node ids and increasing adjacency lists; its flow routine,
+A cell has one id, its grid position i * 3^L + j, the index of `hole_at`.  The
+star-embedding router works on the corridor graph of kept cells, held as
+increasing adjacency lists on those ids; its flow routine,
 `node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp that
 reads networkx's residual network off those lists instead of building it, and
 returns exactly the paths networkx returns (networkx stays its oracle in the
@@ -70,29 +71,29 @@ class CarpetApprox:
         return table
 
     @cached_property
-    def corridors(self) -> tuple[list[int], list[list[int]], list[int]]:
+    def corridors(self) -> tuple[list[list[int]], list[int]]:
         """The corridor graph of kept cells as integer lists, built once per
-        carpet, a node id being a position in `kept`: the node id of cell
-        (i, j) at i * 3^level + j, or -1 for a removed cell; each node's
-        adjacency, the kept cells among (i-1, j), (i, j-1), (i, j+1),
-        (i+1, j), in that order, which is increasing id order (the router's
-        input); and the node ids by distance from the grid center, ties in id
-        order (the router's candidate centers)."""
+        carpet, cell (i, j) having the id i * 3^level + j, its grid position:
+        for each grid position, the kept cells among (i-1, j), (i, j-1),
+        (i, j+1), (i+1, j), in that order, which is increasing id order (the
+        router's input), or [] for a removed cell; and the ids of the kept
+        cells by distance from the grid center, ties in id order (the
+        router's candidate centers)."""
         n = 3 ** self.level
-        kept = self.kept
-        index = [-1] * (n * n)
-        for k, (i, j, _) in enumerate(kept):
-            index[i * n + j] = k
+        hole_at = self.hole_at
+        none: list[int] = []        # shared by every removed cell, never mutated
         adjacency = []
-        for i, j, _ in kept:
-            r = i * n + j
-            adjacency.append([k for k in (index[r - n] if i > 0 else -1,
-                                          index[r - 1] if j > 0 else -1,
-                                          index[r + 1] if j < n - 1 else -1,
-                                          index[r + n] if i < n - 1 else -1) if k >= 0])
-        by_center = sorted(range(len(kept)), key=lambda k: (
-            abs(2 * kept[k][0] + 1 - n) + abs(2 * kept[k][1] + 1 - n), k))
-        return index, adjacency, by_center
+        for r, k in enumerate(hole_at):
+            if k >= 0:
+                adjacency.append(none)
+                continue
+            i, j = divmod(r, n)
+            adjacency.append([s for s in (r - n if i > 0 else -1, r - 1 if j > 0 else -1,
+                                          r + 1 if j < n - 1 else -1, r + n if i < n - 1 else -1)
+                              if s >= 0 and hole_at[s] < 0])
+        by_center = sorted((r for r, k in enumerate(hole_at) if k < 0), key=lambda r: (
+            abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n), r))
+        return adjacency, by_center
 
 
 def _removed_cells(level: int) -> list[tuple[int, int, int]]:
@@ -274,7 +275,9 @@ class CarpetStar:
 
 
 class RoutingError(RuntimeError):
-    """No route found at this carpet level; retry at level + 1."""
+    """No star could be routed through the corridor graph of a carpet of this
+    level (a finer level may route it); `carpet_index`, which
+    `build_k5_scaffold` sets, names the scaffold copy whose star failed."""
 
     def __init__(self, msg: str, carpet_index: Optional[int] = None):
         super().__init__(msg)
@@ -442,7 +445,10 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
 
     Legs are polylines with exact rational vertices, pairwise disjoint except
     at the common center, avoiding every removed-square interior and touching
-    peripheral boundaries only at the marked points.
+    peripheral boundaries only at the marked points.  Cells are read by grid
+    position: the entry cells, the candidate centers and the cells of each
+    path, whose centers are the leg vertices; a sink at 3^(2 level), past the
+    last cell, joins the four entry cells.
     """
     marks = tuple(marks)
     if len(marks) != 4:
@@ -465,12 +471,11 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
-    index, adjacency, by_center = carpet.corridors
-    kept = carpet.kept
-    entry_ids = [index[i * n + j] for i, j in entries]
-    # the corridor graph: the kept cells, then a sink joined to every entry
-    # cell; the sink's id is the largest, so every list stays increasing
-    sink = len(kept)
+    adjacency, by_center = carpet.corridors
+    entry_ids = [i * n + j for i, j in entries]
+    # the corridor graph: the grid cells, then a sink joined to every entry
+    # cell; the sink's id, n^2, is the largest, so every list stays increasing
+    sink = n * n
     graph = adjacency + [sorted(entry_ids)]
     for k in entry_ids:
         graph[k] = [*graph[k], sink]
@@ -486,9 +491,9 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         by_entry = {p[-2]: p for p in paths}
         legs = []
         for mark, k in zip(marks, entry_ids):
-            leg = tuple(_cell_center(kept[c], level) for c in by_entry[k][:-1])  # center ... entry
-            legs.append(leg + (mark.point,))
-        return CarpetStar(_cell_center(kept[center], level), tuple(legs), marks)
+            leg = by_entry[k][:-1]                      # center ... entry
+            legs.append(tuple(_cell_center(divmod(c, n), level) for c in leg) + (mark.point,))
+        return CarpetStar(_cell_center(divmod(center, n), level), tuple(legs), marks)
     raise RoutingError(f"no 4 disjoint corridors found at level {level}")
 
 
@@ -659,9 +664,8 @@ _MARK_CELLS = ((3, 3, 3), (1, 1, 1), (7, 7, 1), (4, 1, 1))
 def _default_mark_assignment(carpet: CarpetApprox, rng=None) -> list[MarkedPoint]:
     """Four peripheral squares for the star's four legs: the level-1 center
     square plus three level-2 squares, marked at deterministic (or seeded) edge
-    midpoints."""
-    if carpet.level < 2:
-        raise RoutingError("scaffold needs carpets of level >= 2")
+    midpoints.  The carpet's level is at least 2, as `build_k5_scaffold`
+    checks."""
     directions = ["left", "bottom", "top", "right"]
     if rng is not None:
         directions = [rng.choice(["left", "right", "top", "bottom"]) for _ in range(4)]
@@ -687,9 +691,12 @@ def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
     """Five copies of one carpet, ten identified peripheral-circle pairs, five
     embedded 4-pointed stars: the combinatorial K5 certificate.  Each distinct
     mark assignment is routed once.  This routes only; verify_k5_graph is the
-    check of the stars and the graph."""
+    check of the stars and the graph.  A level below 2 is a ValueError,
+    raised before any carpet is built: the marks lie on level-2 squares."""
     import random
 
+    if level < 2:
+        raise ValueError(f"scaffold needs carpets of level >= 2, got {level}")
     rng = random.Random(seed) if seed is not None else None
     carpet = build_carpet_approx(level)
     routed: dict[tuple[MarkedPoint, ...], CarpetStar] = {}

@@ -2,9 +2,9 @@
 
 Commands: classify, sweep, nerve, davis-ball, tessellate, carpet, k5.
 Exit codes: 0 success / in-scope verdict, 1 input error (among them a k5
---level below 2, refused before any carpet is built) or an --out path that
-cannot be written, 2 OutOfScope verdict (classify) or an argument that
-argparse rejects, 3 routing failure (k5).
+--level below 2, which build_k5_scaffold refuses before it builds a carpet)
+or an --out path that cannot be written, 2 OutOfScope verdict (classify) or
+an argument that argparse rejects, 3 routing failure (k5).
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ def cmd_carpet(args) -> int:
 
 
 def cmd_k5(args) -> int:
-    if args.level < 2:      # a scaffold marks level-2 squares
-        raise ValueError(f"k5 needs --level >= 2, got {args.level}")
     try:
         scaffold = build_k5_scaffold(level=args.level, seed=args.seed)
     except RoutingError as exc:

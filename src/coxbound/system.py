@@ -89,10 +89,10 @@ class CoxeterSystem:
         setattr_(self, "diagram_index", (position, neighbours))
 
     def m(self, s: str, t: str) -> float:
-        """Order of st; 1 on the diagonal, infinity for unspecified pairs."""
-        if s == t:
-            return 1
-        return self.orders.get((s, t), INF)
+        """Order of st, read from `label_rows`: 1 on the diagonal, infinity
+        for unspecified pairs, and `index`'s ValueError for a name that is
+        not a generator."""
+        return self.label_rows[self.index(s)][self.index(t)]
 
     @property
     def rank(self) -> int:
@@ -278,12 +278,11 @@ def irreducible_components(sys: CoxeterSystem, subset: Iterable[str]) -> list[tu
     """Connected components of the Coxeter diagram restricted to `subset`.
 
     Diagram edges are the pairs with m_st >= 3 (including infinity); m_st = 2
-    means the generators commute and live in different components.  Names
-    outside the system are ignored.
+    means the generators commute and live in different components.  The
+    first name outside the system raises `CoxeterSystem.index`'s ValueError.
     """
-    gens, position = sys.generators, sys.diagram_index[0]
-    comps = _component_positions(sys, (g for g in subset if g in position))
-    return [tuple(gens[i] for i in comp) for comp in comps]
+    gens = sys.generators
+    return [tuple(gens[i] for i in comp) for comp in _component_positions(sys, subset)]
 
 
 def _component_positions(sys: CoxeterSystem, subset: Iterable[str]) -> list[list[int]]:

@@ -502,9 +502,18 @@ def test_k5_scaffold_seeded():
         assert verify_k5_graph(build_k5_scaffold(level=2, seed=seed))
 
 
-def test_k5_level_too_small():
-    with pytest.raises(RoutingError):
-        build_k5_scaffold(level=1)
+def _no_carpet(level):
+    raise AssertionError("no carpet may be built")
+
+
+def test_k5_level_too_small(monkeypatch):
+    """A level below 2 is refused before any carpet is built: the scaffold
+    marks level-2 squares."""
+    monkeypatch.setattr(carpet, "build_carpet_approx", _no_carpet)
+    for level in (-1, 0, 1):
+        message = f"^scaffold needs carpets of level >= 2, got {level}$"
+        with pytest.raises(ValueError, match=message):
+            build_k5_scaffold(level=level)
 
 
 def _no_route(carpet_, marks):

@@ -14,6 +14,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -239,15 +240,17 @@ def test_position_readers_match_name_keyed_oracles(data):
     assert coxeter_relators(sysm, subset) == oracle_coxeter_relators(sysm, subset)
     assert list(sysm._finite_pairs) == oracle_davis_pairs(sysm)
 
-    # every subset, listed in a drawn order; `irreducible_components` also with
-    # a name outside the system, which it ignores
+    # every subset, listed in a drawn order; a name outside the system, put
+    # in at a drawn place, makes `irreducible_components` raise
     order = data.draw(st.permutations(gens), label="subset order")
     for size in range(len(gens) + 1):
         for subset in combinations(order, size):
             verdict = is_finite_type(sysm, subset)
             assert (verdict.finite, verdict.witness) == oracle_is_finite_type(sysm, subset)
-            subset += ("not-a-generator",)
             assert irreducible_components(sysm, subset) == oracle_components(sysm, subset)
+            at = data.draw(st.integers(0, size), label="non-generator place")
+            with pytest.raises(ValueError, match="^'not-a-generator' is not a generator$"):
+                irreducible_components(sysm, subset[:at] + ("not-a-generator",) + subset[at:])
     for trip in combinations(order, 3):
         assert triangle_type(sysm, trip) == oracle_triangle_type(sysm, trip)
 

@@ -72,35 +72,40 @@ def _networkx_embed_star(c, marks):
     raise RoutingError(f"no 4 disjoint corridors found at level {level}")
 
 
+def _kept_ids(level: int) -> list[int]:
+    """The grid ids i * 3^level + j of the kept cells (i, j), increasing."""
+    n = 3 ** level
+    return [i * n + j for i in range(n) for j in range(n) if _cell_kept(i, j, level)]
+
+
 def _assert_corridor_paths_match_networkx(level, center, entry_ids):
-    """The router's paths from `center` to a sink joined to the cells
-    `entry_ids` of the level's corridor graph are networkx's."""
-    c = build_carpet_approx(level)
-    _, adjacency, _ = c.corridors
-    cells = [(i, j) for i, j, _ in c.kept]
+    """The router's paths from the cell `center` to a sink joined to the cells
+    `entry_ids` of the level's corridor graph, cells by grid id, are
+    networkx's."""
+    n = 3 ** level
+    adjacency, _ = build_carpet_approx(level).corridors
     graph = _corridor_graph(level)
     graph.add_node("sink")
     for k in entry_ids:
-        graph.add_edge(cells[k], "sink")
-    sink = len(cells)
+        graph.add_edge(divmod(k, n), "sink")
+    sink = n * n
     joined = adjacency + [sorted(entry_ids)]
     for k in entry_ids:
         joined[k] = [*joined[k], sink]
     got = node_disjoint_paths(joined, center, sink)
     try:
-        expected = list(nx.node_disjoint_paths(graph, cells[center], "sink"))
+        expected = list(nx.node_disjoint_paths(graph, divmod(center, n), "sink"))
     except nx.NetworkXNoPath:
         assert not entry_ids and got == []
         return
-    ids = {cell: k for k, cell in enumerate(cells)} | {"sink": sink}
-    assert got == [[ids[x] for x in p] for p in expected]
+    assert got == [[i * n + j for i, j in p[:-1]] + [sink] for p in expected]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_router_paths_match_networkx_on_the_corridor_graph(data):
     level = data.draw(st.integers(1, 3), label="level")
-    picks = data.draw(st.lists(st.sampled_from(range(8 ** level)), min_size=1, max_size=5,
+    picks = data.draw(st.lists(st.sampled_from(_kept_ids(level)), min_size=1, max_size=5,
                                unique=True), label="center and entries")
     # entries in drawn order; none: no path
     _assert_corridor_paths_match_networkx(level, picks[0], picks[1:])
@@ -110,7 +115,7 @@ def test_router_paths_match_networkx_where_reverse_arc_order_matters():
     """A search that meets a node of an earlier path takes its reverse arcs
     in networkx's order, and here that order picks the path: random draws
     seldom reach such a case (about 1 in 1,000 at level 2)."""
-    _assert_corridor_paths_match_networkx(2, 41, [62, 58])
+    _assert_corridor_paths_match_networkx(2, 55, [79, 75])
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,13 +150,21 @@ def test_router_paths_match_networkx_where_flow_is_cancelled():
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_corridor_adjacency_is_increasing(level):
-    """The router's precondition: every corridor adjacency list is strictly
-    increasing, and stays so with the sink, the largest id, joined."""
-    _, adjacency, _ = build_carpet_approx(level).corridors
-    sink = len(adjacency)
-    for nbrs in adjacency:
+    """The router's precondition, on grid ids: every neighbour is a kept
+    cell and a removed cell has none; every list is strictly increasing, and
+    stays so with the sink, 3^(2 level), the largest id, joined.  The
+    candidate centers are the kept cells."""
+    c = build_carpet_approx(level)
+    adjacency, by_center = c.corridors
+    sink = 9 ** level
+    assert len(adjacency) == sink
+    for r, nbrs in enumerate(adjacency):
+        assert all(c.hole_at[s] < 0 for s in nbrs)
+        if c.hole_at[r] >= 0:
+            assert nbrs == []
         joined = [*nbrs, sink]
         assert all(a < b for a, b in zip(joined, joined[1:]))
+    assert sorted(by_center) == _kept_ids(level)
 
 
 def _routed_through_networkx(level, seed=None):
@@ -191,6 +204,16 @@ def test_level_6_scaffold():
     s = build_k5_scaffold(6)
     assert hashlib.sha256(scaffold_to_json(s).encode()).hexdigest() == LEVEL_6_SCAFFOLD
     assert verify_k5_graph(s)
+
+
+def test_k5_request_builds_no_kept_cells():
+    """A scaffold's build, check and emission read cells by grid position:
+    none of them builds the carpet's `kept` tuple of cells."""
+    s = build_k5_scaffold(3)
+    assert verify_k5_graph(s)
+    scaffold_to_json(s)
+    scaffold_svg(s)
+    assert "kept" not in vars(s.carpet)
 
 
 def test_k5_request_leaves_no_reference_cycles():

@@ -160,10 +160,12 @@ def test_irreducible_components():
     joined = make_system("abc", {("a", "b"): 3, ("b", "c"): 2})
     assert len(irreducible_components(joined, "abc")) == 1
     # components and their members follow generator order, not name order;
-    # names outside the system are ignored
+    # a name outside the system is rejected
     rev = make_system("dcba", {("d", "c"): 2, ("d", "b"): 2, ("d", "a"): 3,
                                ("c", "b"): 5, ("c", "a"): 2, ("b", "a"): 2})
-    assert irreducible_components(rev, "abcdz") == [("d", "a"), ("c", "b")]
+    assert irreducible_components(rev, "abcd") == [("d", "a"), ("c", "b")]
+    with pytest.raises(ValueError, match="^'z' is not a generator$"):
+        irreducible_components(rev, "abcdz")
     assert rev.index("a") == 3
     with pytest.raises(ValueError):
         rev.index("z")
@@ -251,6 +253,11 @@ def test_names_outside_the_system_rejected():
         tits_normal_form(sysm, ["zz"])
     with pytest.raises(ValueError, match="^triangle_type needs exactly 3 distinct generators$"):
         triangle_type(sysm, ("x", "x", "y"))
+    for s, t in (("x", "w"), ("w", "x"), ("w", "w")):
+        with pytest.raises(ValueError, match="^'w' is not a generator$"):
+            sysm.m(s, t)
+    with pytest.raises(ValueError, match="^'w' is not a generator$"):
+        irreducible_components(sysm, "xwy")
     # the first name that is not a generator, as `todd_coxeter_enumerate` names it
     k3 = complete_graph_system(3)
     for subset in (["bogus"], ["s1", "bogus"], ["s2", "bogus", "x"]):
