@@ -25,28 +25,40 @@ cells too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classify import _array
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
                        segment_common, segment_in_box)
+from .system import _Frozen
 
 MAX_CARPET_LEVEL = 7
 
 F0, F1 = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class CarpetApprox:
+class CarpetApprox(_Frozen):
     """The level-`level` middle-ninth carpet, held as its level.  Its squares
     are integer cells (x, y, side) in units of 3^-level; each table below is
     computed from the level when first read, and `hole_at` is the one that
     says which cells are kept."""
-    level: int
+
+    def __init__(self, level: int):
+        vars(self)["level"] = level
+
+    def __repr__(self) -> str:
+        return f"CarpetApprox(level={self.level!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.level,))
 
     @cached_property
     def kept(self) -> tuple[tuple[int, int, int], ...]:
@@ -137,8 +149,7 @@ def null_family_check(c: CarpetApprox, epsilon: Fraction) -> int:
 
 # --- the erratum's explicit star family in the 3-holed disk --------------------
 
-@dataclass(frozen=True)
-class HoledDisk:
+class HoledDisk(NamedTuple):
     """Unit disk with three radius-1/4 holes; marked points face the origin
     (p4 = (1,0) on the outer circle)."""
     hole_centers: tuple[Point, ...] = (
@@ -152,8 +163,7 @@ HOLED_DISK = HoledDisk()
 T_RANGE = (Fraction(-1, 8), Fraction(1, 8))
 
 
-@dataclass(frozen=True)
-class StarEmbedding:
+class StarEmbedding(NamedTuple):
     """Four straight legs from (t, -t) to the marked points of the holed disk."""
     t: Fraction
 
@@ -259,16 +269,14 @@ def select_t_avoiding(points: Sequence[Point]) -> tuple[Fraction, dict[Point, tu
 
 # --- star routing inside a carpet approximation --------------------------------
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(NamedTuple):
     """A point on the boundary of a peripheral square of its carpet: a cell of
     `removed`, or the outer boundary (0, 0, 3^level), in units of 3^-level."""
     cell: tuple[int, int, int]
     point: Point
 
 
-@dataclass(frozen=True)
-class CarpetStar:
+class CarpetStar(NamedTuple):
     center: Point
     legs: tuple[tuple[Point, ...], ...]   # leg k runs center -> marked point k
     marks: tuple[MarkedPoint, ...]
@@ -619,13 +627,24 @@ def _others(i: int) -> list[int]:
     return [j for j in range(5) if j != i]
 
 
-@dataclass(frozen=True)
-class K5Scaffold:
+class K5Scaffold(_Frozen):
     """Five copies 0..4 of one carpet, star i embedded in copy i.  The stars
     carry the identification: leg k of star i ends at the mark where copy i
     is glued to `_others(i)[k]`.  Copies marked alike share one star."""
-    carpet: CarpetApprox
-    stars: tuple[CarpetStar, ...]
+
+    def __init__(self, carpet: CarpetApprox, stars: tuple[CarpetStar, ...]):
+        vars(self).update(carpet=carpet, stars=stars)
+
+    def __repr__(self) -> str:
+        return f"K5Scaffold(carpet={self.carpet!r}, stars={self.stars!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carpet, self.stars) == (other.carpet, other.stars)
+
+    def __hash__(self) -> int:
+        return hash((self.carpet, self.stars))
 
     @property
     def level(self) -> int:

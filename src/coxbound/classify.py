@@ -9,9 +9,8 @@ refused with a machine-readable OutOfScope reason rather than guessed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .nerve import NerveComplex, is_complete_1d_nerve
 from .system import EUCLIDEAN, HYPERBOLIC, INF, CoxeterSystem, is_finite_type, triangle_type
@@ -23,8 +22,7 @@ EMPTY_OR_FINITE = "EmptyOrFinite"
 OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(NamedTuple):
     tag: str
     reason: Optional[str] = None   # populated for OutOfScope only
 
@@ -32,8 +30,7 @@ class BoundaryClass:
         return self.tag if self.reason is None else f"{self.tag}({self.reason})"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     system: CoxeterSystem
     boundary: BoundaryClass
     n: int

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import _array, serre_fa_criterion
 from .nerve import NerveComplex, edge_length_fraction
@@ -28,8 +28,7 @@ from .words import cayley_ball, word_context
 Vertex = tuple[str, ...]     # ShortLex normal form
 
 
-@dataclass(frozen=True)
-class DavisBall:
+class DavisBall(NamedTuple):
     system: CoxeterSystem
     radius: int
     vertices: tuple[Vertex, ...]
@@ -38,8 +37,7 @@ class DavisBall:
     faces: tuple[tuple[str, str, tuple[Vertex, ...]], ...]
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class LinkGraph(NamedTuple):
     vertices: tuple[str, ...]                       # generator directions
     edges: tuple[tuple[str, str], ...]              # polygon corners at the vertex
     angles: dict[tuple[str, str], Fraction]         # corner angle / pi

@@ -8,15 +8,14 @@ rational coefficient of pi.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .system import SPHERICAL, CoxeterSystem, is_finite_type
 
 
-@dataclass(frozen=True)
-class NerveComplex:
+class NerveComplex(NamedTuple):
     vertices: tuple[str, ...]
     simplices: tuple[tuple[str, ...], ...]   # finite-type subsets of size >= 2
     max_dim: int                             # enumeration bound used

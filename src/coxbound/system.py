@@ -18,9 +18,8 @@ triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 INF = math.inf
 
@@ -29,8 +28,21 @@ class PresentationError(ValueError):
     """Raised for malformed presentation text or order matrices."""
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class _Frozen:
+    """Instances refuse assignment and deletion.  A constructor stores its
+    fields in the instance dict, where `cached_property` also keeps what it
+    computes; neither goes through `__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CoxeterSystem(_Frozen):
     """Generators plus symmetric order matrix; immutable after construction.
 
     `orders` may give a pair one way round or both.  Construction checks each
@@ -42,21 +54,16 @@ class CoxeterSystem:
     neighbours: m_st >= 3, infinity included).
     """
 
-    generators: tuple[str, ...]
-    orders: dict[tuple[str, str], float] = field(hash=False)
-
-    def __post_init__(self):
-        gens = self.generators
-        n = len(gens)
-        position = {g: i for i, g in enumerate(gens)}
+    def __init__(self, generators: tuple[str, ...], orders: dict[tuple[str, str], float]):
+        n = len(generators)
+        position = {g: i for i, g in enumerate(generators)}
         if len(position) != n:
             raise PresentationError("duplicate generator")
-        given = self.orders
-        orders = {}
+        closed = {}
         rows = [[INF] * n for _ in range(n)]
         finite = [0] * n
         two = [0] * n
-        for (s, t), m in given.items():
+        for (s, t), m in orders.items():
             if s == t:
                 raise PresentationError(f"diagonal entry for {s} not allowed")
             i, j = position.get(s), position.get(t)
@@ -65,13 +72,13 @@ class CoxeterSystem:
             # the range test first: int() fails on NaN and on -inf
             if m != INF and not (m >= 2 and int(m) == m):
                 raise PresentationError(f"label m({s},{t}) = {m} out of range (>= 2 or inf)")
-            back = given.get((t, s), m)
+            back = orders.get((t, s), m)
             if back != m:
                 raise PresentationError(f"asymmetric labels for pair ({s},{t})")
             if m != INF:
                 # a pair given one way round is stored both ways
-                orders[s, t] = rows[i][j] = m
-                orders[t, s] = rows[j][i] = back
+                closed[s, t] = rows[i][j] = m
+                closed[t, s] = rows[j][i] = back
                 finite[i] |= 1 << j
                 finite[j] |= 1 << i
                 if m == 2:
@@ -82,11 +89,21 @@ class CoxeterSystem:
             rows[i][i] = 1
         # every pair that does not commute is a diagram edge, infinity included
         neighbours = tuple(full ^ two[i] ^ 1 << i for i in range(n))
-        setattr_ = object.__setattr__
-        setattr_(self, "orders", orders)
-        setattr_(self, "label_rows", tuple(map(tuple, rows)))
-        setattr_(self, "finite_masks", tuple(finite))
-        setattr_(self, "diagram_index", (position, neighbours))
+        vars(self).update(generators=generators, orders=closed,
+                          label_rows=tuple(map(tuple, rows)), finite_masks=tuple(finite),
+                          diagram_index=(position, neighbours))
+
+    def __repr__(self) -> str:
+        return f"CoxeterSystem(generators={self.generators!r}, orders={self.orders!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.orders) == (other.generators, other.orders)
+
+    def __hash__(self) -> int:
+        # a dict has no hash: equal systems have equal generators
+        return hash((self.generators,))
 
     def m(self, s: str, t: str) -> float:
         """Order of st, read from `label_rows`: 1 on the diagonal, infinity
@@ -309,8 +326,7 @@ def _component_positions(sys: CoxeterSystem, subset: Iterable[str]) -> list[list
     return comps
 
 
-@dataclass(frozen=True)
-class FiniteTypeVerdict:
+class FiniteTypeVerdict(NamedTuple):
     finite: bool
     # finite: list of component diagram names; infinite: description of one
     # infinite component (its generators and why it fails).

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .system import INF, CoxeterSystem
 
@@ -270,8 +269,7 @@ def word_context(sys: CoxeterSystem) -> WordContext:
     return WordContext(sys)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     word: tuple[str, ...]
 
     @property
@@ -290,8 +288,7 @@ def words_equal(sys: CoxeterSystem, w1: Iterable[str], w2: Iterable[str]) -> boo
 
 # --- Todd-Coxeter oracle ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     subset: tuple[str, ...]
     complete: bool
     order: Optional[int]       # group order when complete
@@ -502,8 +499,7 @@ def spherical_triangle_order(a: int, b: int, c: int) -> Optional[int]:
 
 # --- Cayley balls -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CayleyBall:
+class CayleyBall(NamedTuple):
     radius: int
     vertices: tuple[tuple[str, ...], ...]          # normal forms, BFS/ShortLex order
     edges: tuple[tuple[tuple[str, ...], tuple[str, ...], str], ...]  # (g, gs, s), len(gs) > len(g)

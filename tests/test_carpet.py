@@ -836,3 +836,16 @@ def test_verifier_agrees_with_oracle_on_moved_vertices(data):
         x, y = (c + F(data.draw(st.integers(-3, 3)), den) for c in leg[v])
     moved = _with_leg(star, k, leg[:v] + ((x, y),) + leg[v + 1:])
     assert verify_star_in_carpet(carpet, moved) == _oracle_verify(carpet, moved)
+
+
+def test_verifier_rejects_vertex_outside_unit_square():
+    """A leg vertex moved just outside the unit square, clear of every other
+    leg and of every removed square, is rejected by the outer-boundary check;
+    the same move kept inside the square is accepted."""
+    c = build_carpet_approx(2)
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    leg = star.legs[2]                      # climbs the column x = 1/18
+    assert leg[3:6] == ((F(1, 18), F(7, 18)), (F(1, 18), F(1, 2)), (F(1, 18), F(11, 18)))
+    inside = _with_leg(star, 2, leg[:4] + ((F(1, 36), F(1, 2)),) + leg[5:])
+    assert verify_star_in_carpet(c, inside) and _oracle_verify(c, inside)
+    _check_rejected(c, _with_leg(star, 2, leg[:4] + ((F(-1, 18), F(1, 2)),) + leg[5:]))

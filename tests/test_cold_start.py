@@ -1,11 +1,13 @@
-"""No command loads numpy or networkx.
+"""No command loads numpy, networkx, dataclasses or inspect.
 
 Each command runs through `cli.main` in a fresh interpreter that imports the
-package from `src`, and then reports which of the two modules it loaded.
+package from `src`, and then reports which of the four modules it loaded.
 `tessellate` draws its triangles in plain floats, and the carpet router of
 `k5` runs on integer arrays, so neither needs numpy or networkx; both are
-test dependencies only, and `tests/test_networkx_guard.py` checks that no
-library module imports them.
+test dependencies only.  The library's records are `NamedTuple`s and plain
+classes, so no command loads `dataclasses`, nor the `inspect` it pulls in.
+`tests/test_networkx_guard.py` checks that no library module imports numpy,
+networkx or dataclasses.
 """
 
 import json
@@ -36,7 +38,9 @@ else:
     from coxbound import cli
     code = cli.main(argv)
 print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules,
-                  "networkx": "networkx" in sys.modules}))
+                  "networkx": "networkx" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}))
 """
 
 
@@ -78,6 +82,8 @@ def test_command_loads_only_what_it_uses(name, tmp_path):
         assert (tmp_path / "out").exists()
     assert seen["networkx"] is networkx_loaded
     assert seen["numpy"] is numpy_loaded
+    assert seen["dataclasses"] is False
+    assert seen["inspect"] is False
 
 
 def test_carpet_nx_attribute_reaches_the_router():

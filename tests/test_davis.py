@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -63,11 +62,11 @@ def test_link_mismatches_rejected():
     nerve = build_nerve(sysm)
     link = vertex_link(build_davis_ball(sysm, 5), ())
     first, *rest = link.edges
-    assert not link_matches_nerve(replace(link, vertices=link.vertices[1:]), nerve)
-    assert not link_matches_nerve(replace(link, edges=tuple(rest)), nerve)
+    assert not link_matches_nerve(link._replace(vertices=link.vertices[1:]), nerve)
+    assert not link_matches_nerve(link._replace(edges=tuple(rest)), nerve)
     wrong = {**link.angles, first: link.angles[first] / 2}
-    assert not link_matches_nerve(replace(link, angles=wrong), nerve)
-    assert link_matches_nerve(replace(link, angles=dict(link.angles)), nerve)
+    assert not link_matches_nerve(link._replace(angles=wrong), nerve)
+    assert link_matches_nerve(link._replace(angles=dict(link.angles)), nerve)
 
 
 def test_link_rejects_frontier_vertex():
@@ -126,7 +125,7 @@ def named_balls(draw):
 @example(build_davis_ball(make_system(ESCAPED_NAMES[3:], {}), 2))     # no faces
 def test_ball_json_matches_json_dumps(ball):
     assert ball_to_json(ball) == _dumps_ball(ball)
-    bare = replace(ball, edges=(), faces=())
+    bare = ball._replace(edges=(), faces=())
     assert ball_to_json(bare) == _dumps_ball(bare)
 
 

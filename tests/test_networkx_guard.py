@@ -1,13 +1,16 @@
-"""No library module imports networkx or numpy.
+"""No library module imports networkx, numpy or dataclasses.
 
-Both are test dependencies only: the tests keep networkx as the router's
-oracle and numpy for matrix oracles, while the library routes on its own
-integer arrays and draws its tessellations in plain floats.
+networkx and numpy are test dependencies only: the tests keep networkx as
+the router's oracle and numpy for matrix oracles, while the library routes
+on its own integer arrays and draws its tessellations in plain floats.  The
+library's records are `NamedTuple`s and plain classes, since `dataclasses`
+loads `inspect` and compiles each class's methods when it is defined.
 `test_cold_start.py` runs each command and sees what it loads, but not a
 library function that no command calls.  So this walks each module's syntax
-tree and fails on any `import networkx` / `import numpy` or `from networkx...`
-/ `from numpy... import`, at module level or nested in a function, class or
-`TYPE_CHECKING` block.
+tree and fails on any `import networkx` / `import numpy` / `import
+dataclasses` or `from networkx...` / `from numpy...` / `from dataclasses
+import`, at module level or nested in a function, class or `TYPE_CHECKING`
+block.
 """
 
 import ast
@@ -70,3 +73,7 @@ def test_numpy_imports_detected():
 
 def test_no_library_module_imports_numpy():
     assert _library_imports(numpy_imports) == {}
+
+
+def test_no_library_module_imports_dataclasses():
+    assert _library_imports(lambda source: package_imports(source, "dataclasses")) == {}
