@@ -15,7 +15,9 @@ increasing adjacency lists on those ids; its flow routine,
 `node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp that
 reads networkx's residual network off those lists instead of building it, and
 returns exactly the paths networkx returns (networkx stays its oracle in the
-tests).
+tests).  A routed leg is written by its corners: the star's center, the cell
+centers where its path turns, the entry cell's center and the mark, a
+polyline whose point set is the one through every cell center of the path.
 A verifier that shares no code with the router re-checks every output with
 the exact segment predicates, on the star's points scaled to integers and
 the removed squares it looks up from the cell grid.  The drawings read the
@@ -277,8 +279,12 @@ class MarkedPoint(NamedTuple):
 
 
 class CarpetStar(NamedTuple):
+    """A star routed through a carpet: leg k runs from `center` to the point
+    of marks[k], its vertices the center, the cell centers where its cell
+    path turns, its entry cell's center and the marked point; its point set
+    is that of the polyline through every cell center of the path."""
     center: Point
-    legs: tuple[tuple[Point, ...], ...]   # leg k runs center -> marked point k
+    legs: tuple[tuple[Point, ...], ...]
     marks: tuple[MarkedPoint, ...]
 
 
@@ -455,8 +461,12 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     at the common center, avoiding every removed-square interior and touching
     peripheral boundaries only at the marked points.  Cells are read by grid
     position: the entry cells, the candidate centers and the cells of each
-    path, whose centers are the leg vertices; a sink at 3^(2 level), past the
-    last cell, joins the four entry cells.
+    path; a sink at 3^(2 level), past the last cell, joins the four entry
+    cells.  A leg is written by its corners: the star's center, the centers
+    of the cells where its path turns, the entry cell's center and the
+    marked point.  Every center of the path between two corners lies on the
+    segment joining them, so the leg's point set is the polyline through
+    every cell center of the path, then the mark.
     """
     marks = tuple(marks)
     if len(marks) != 4:
@@ -499,8 +509,13 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
         by_entry = {p[-2]: p for p in paths}
         legs = []
         for mark, k in zip(marks, entry_ids):
-            leg = by_entry[k][:-1]                      # center ... entry
-            legs.append(tuple(_cell_center(divmod(c, n), level) for c in leg) + (mark.point,))
+            path = by_entry[k][:-1]                     # center ... entry
+            # its corners: steps join grid neighbours (+-1 or +-n), so the
+            # path turns at b iff the step into b differs from the step out
+            corners = [path[0], *(b for a, b, c in zip(path, path[1:], path[2:])
+                                  if b - a != c - b), path[-1]]
+            legs.append(tuple(_cell_center(divmod(c, n), level) for c in corners)
+                        + (mark.point,))
         return CarpetStar(_cell_center(divmod(center, n), level), tuple(legs), marks)
     raise RoutingError(f"no 4 disjoint corridors found at level {level}")
 

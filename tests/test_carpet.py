@@ -5,6 +5,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import coxbound
 from coxbound import carpet
 from coxbound.carpet import (HOLED_DISK, T_RANGE, CarpetApprox, CarpetStar, K5Scaffold,
-                             MarkedPoint, RoutingError, StarEmbedding, _cell_edge_midpoint,
-                             _default_mark_assignment, _entry_cell,
+                             MarkedPoint, RoutingError, StarEmbedding, _cell_center,
+                             _cell_edge_midpoint, _default_mark_assignment, _entry_cell,
                              _is_peripheral_cell, build_carpet_approx,
                              build_k5_scaffold, carpet_svg, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
@@ -444,6 +445,88 @@ def test_embed_and_verify_star():
         assert leg[-1] == mark.point
 
 
+def _expand(leg, level):
+    """`leg` with every cell centre on it put back: between consecutive
+    vertices up to the entry-cell centre, the centres at steps of 3^-level
+    along the segment's one axis; the last step, half a cell from the
+    entry-cell centre to the mark, has none.  On a leg written by its
+    corners this is the router's cell path, mapped to centres, plus the mark."""
+    step = F(1, 3 ** level)
+    out = [leg[0]]
+    for p, q in zip(leg[:-2], leg[1:-1]):
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        assert (dx == 0) != (dy == 0), (p, q)       # along one axis
+        count = (abs(dx) + abs(dy)) / step
+        assert count.denominator == 1, (p, q)       # centre to centre
+        out += [(p[0] + dx * k / count, p[1] + dy * k / count)
+                for k in range(1, count.numerator + 1)]
+    p, q = leg[-2:]
+    assert abs(q[0] - p[0]) + abs(q[1] - p[1]) == step / 2, (p, q)
+    return tuple(out) + (q,)
+
+
+def _expanded(s: K5Scaffold) -> K5Scaffold:
+    """`s` with every leg expanded (`_expand`), copies that share a star
+    sharing its expansion."""
+    stars = {}
+    for star in s.stars:
+        if id(star) not in stars:
+            stars[id(star)] = star._replace(legs=tuple(_expand(leg, s.level)
+                                                       for leg in star.legs))
+    return K5Scaffold(s.carpet, tuple(stars[id(star)] for star in s.stars))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(level=2, seed=0)
+def test_expanded_legs_are_the_router_paths(level, seed):
+    """Each leg, expanded, is the cell path that the router's flow routine
+    returned for it, from the centre to the entry cell of its mark, mapped
+    to centres, plus the mark; the star's centre is the path's first cell."""
+    c = build_carpet_approx(level)
+    n = 3 ** level
+    marks = _default_mark_assignment(c, random.Random(seed))
+    calls = []
+
+    def recording(graph, s, t):
+        paths = carpet.node_disjoint_paths(graph, s, t)
+        calls.append((s, paths))
+        return paths
+
+    original = carpet.nx
+    carpet.nx = SimpleNamespace(node_disjoint_paths=recording)
+    try:
+        star = embed_star_in_carpet(c, marks)
+    finally:
+        carpet.nx = original
+    centre, paths = calls[-1]           # the router stops at the first success
+    assert star.center == _cell_center(divmod(centre, n), level)
+    for leg, mark in zip(star.legs, marks):
+        i, j = _entry_cell(mark.point, c)
+        path = next(p for p in paths if p[-2] == i * n + j)
+        assert _expand(leg, level) == \
+            tuple(_cell_center(divmod(k, n), level) for k in path[:-1]) + (mark.point,)
+
+
+_CORNER_CASES = ([(2, seed) for seed in (None, *range(12))] +
+                 [(level, None) for level in (3, 4, 5)] + [(3, 1), (3, 4), (4, 3)])
+
+
+@pytest.mark.parametrize("level, seed", _CORNER_CASES)
+def test_legs_keep_only_their_corners(level, seed):
+    """A leg's vertices are the star's centre, the centres where its cell
+    path turns, the entry-cell centre and the mark: every other interior
+    vertex is a turn, and the entry-cell centre is kept even where it is
+    collinear with its neighbours."""
+    s = _scaffold(level, seed)
+    for star in {id(star): star for star in s.stars}.values():
+        for leg in star.legs:
+            assert len(leg) >= 3
+            for a, b, c in zip(leg, leg[1:], leg[2:-1]):
+                assert (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]), b
+    assert verify_k5_graph(s) and verify_k5_graph(_expanded(s))
+
+
 def _broken(star):
     """`star` with its first leg run straight through the central removed
     square of a level-2 carpet."""
@@ -841,11 +924,15 @@ def test_verifier_agrees_with_oracle_on_moved_vertices(data):
 def test_verifier_rejects_vertex_outside_unit_square():
     """A leg vertex moved just outside the unit square, clear of every other
     leg and of every removed square, is rejected by the outer-boundary check;
-    the same move kept inside the square is accepted."""
+    the same move kept inside the square is accepted.  The vertex is first
+    put into the segment that climbs the column x = 1/18, which leaves the
+    leg's point set and the verdict as they were."""
     c = build_carpet_approx(2)
     star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
     leg = star.legs[2]                      # climbs the column x = 1/18
-    assert leg[3:6] == ((F(1, 18), F(7, 18)), (F(1, 18), F(1, 2)), (F(1, 18), F(11, 18)))
-    inside = _with_leg(star, 2, leg[:4] + ((F(1, 36), F(1, 2)),) + leg[5:])
+    assert leg[1:3] == ((F(1, 18), F(5, 18)), (F(1, 18), F(17, 18)))
+    split = _with_leg(star, 2, leg[:2] + ((F(1, 18), F(1, 2)),) + leg[2:])
+    assert verify_star_in_carpet(c, split) and _oracle_verify(c, split)
+    inside = _with_leg(star, 2, leg[:2] + ((F(1, 36), F(1, 2)),) + leg[2:])
     assert verify_star_in_carpet(c, inside) and _oracle_verify(c, inside)
-    _check_rejected(c, _with_leg(star, 2, leg[:4] + ((F(-1, 18), F(1, 2)),) + leg[5:]))
+    _check_rejected(c, _with_leg(star, 2, leg[:2] + ((F(-1, 18), F(1, 2)),) + leg[2:]))

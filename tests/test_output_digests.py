@@ -8,8 +8,13 @@ own JSON writer; the level-4 and level-5 carpet and level-3 scaffold drawings
 from the code that still drew them from `Fraction` squares; the level-4
 scaffold from the code that still routed one star per copy; the six
 hyperbolic tessellations from the code that framed the Klein disk by the
-cosine matrix's LDL^T, each the earlier picture under one Lorentz map.  A
-refactor of those paths has to keep every byte."""
+cosine matrix's LDL^T, each the earlier picture under one Lorentz map.  The
+scaffold pins without "corner legs" in their names are those of the code
+that wrote a leg through every cell centre of its path: they now hash the
+library's scaffold with its legs expanded back to every centre (`_expanded`),
+and the "corner legs" pins, computed once that oracle held, hash the
+library's own documents, whose legs keep only the centres where the path
+turns.  A refactor of those paths has to keep every byte."""
 
 import hashlib
 from itertools import combinations
@@ -20,6 +25,7 @@ from coxbound.classify import classify_boundary, report_to_json
 from coxbound.davis import ball_to_json, build_davis_ball, tessellation_svg
 from coxbound.nerve import build_nerve, nerve_to_json
 from coxbound.system import make_system, parse_system
+from test_carpet import _expanded
 
 # labels (m_ab, m_bc, m_ac) and depth of each triangle group that the
 # word-problem benchmark workload renders (perfbench/workloads.py)
@@ -36,6 +42,10 @@ DAVIS_BALLS = [
     (4, (5,) * 6, 5), (4, (3, 4, 5, 3, 4, "inf"), 5),
     (5, (3,) * 10, 4), (5, (3, 4) * 5, 4), (5, (3, 4, 3, 4, 3, 4, 3, 4, "inf", "inf"), 4),
 ] + [(2, (m,), m) for m in (5, 7, 9)]
+
+# (level, seed, writers) of each pinned K5 scaffold
+BOTH = (scaffold_to_json, scaffold_svg)
+SCAFFOLDS = [(2, None, BOTH), (3, None, BOTH), (2, 1, (scaffold_to_json,)), (4, None, BOTH)]
 
 DIGESTS = {
     "tessellation_svg abc (2, 3, 5) depth 15":
@@ -86,6 +96,20 @@ DIGESTS = {
         "e64ef0fb9b4c9e28c616b1ff16701d44cb45802024f7b280c3544dcd1a9feb69",
     "scaffold_svg level 4":
         "24629fb95740c170b32231ceb3df4a89617dd5108030dabeeee1d76650e82afc",
+    "scaffold_to_json level 2 corner legs":
+        "29e3a6c9f36c159b477c83bf0cda101e6b93c7dce7f6eeba5f1acb4191aab803",
+    "scaffold_svg level 2 corner legs":
+        "1c65f8d413594f134de86683ef1186a8e6c77789bea077457c118427ecb20e9a",
+    "scaffold_to_json level 3 corner legs":
+        "db230159f9ef5e02e510f428fc682bae423ea82b7d9a4bf23b6a85649fc7a82e",
+    "scaffold_svg level 3 corner legs":
+        "449d91b60f4ec2fc1bdc3584068a3cb0aec7e314695754f6076f670de29ca6d5",
+    "scaffold_to_json level 2 seed 1 corner legs":
+        "02dc42d40a2f2583ec90321bf5c305f1edfb8cb97e59b274604b2ca892c05b5e",
+    "scaffold_to_json level 4 corner legs":
+        "8e938cfb33070416c7e8f4de2aa36f70375ec010e3e7e3d013559143c7367363",
+    "scaffold_svg level 4 corner legs":
+        "7610982d8b7bc6e47c189a6396620e66fa7713b6d17c73e2e592e06293d990c0",
     "ball_to_json g0 g1 g2 (3, 3, 3) radius 12":
         "5a7432f692b0cee1080f0979204b5247fc249e515560ae33d8a859d047074ce0",
     "ball_to_json g0 g1 g2 (3, 3, 4) radius 10":
@@ -168,16 +192,13 @@ def _outputs():
                 tessellation_svg(sysm, depth)
     for level in (3, 4, 5):
         yield f"carpet_svg level {level}", carpet_svg(build_carpet_approx(level))
-    scaffold = build_k5_scaffold(2)
-    yield "scaffold_to_json level 2", scaffold_to_json(scaffold)
-    yield "scaffold_svg level 2", scaffold_svg(scaffold)
-    level_3 = build_k5_scaffold(3)
-    yield "scaffold_to_json level 3", scaffold_to_json(level_3)
-    yield "scaffold_svg level 3", scaffold_svg(level_3)
-    yield "scaffold_to_json level 2 seed 1", scaffold_to_json(build_k5_scaffold(2, seed=1))
-    level_4 = build_k5_scaffold(4)
-    yield "scaffold_to_json level 4", scaffold_to_json(level_4)
-    yield "scaffold_svg level 4", scaffold_svg(level_4)
+    for level, seed, writers in SCAFFOLDS:
+        scaffold = build_k5_scaffold(level, seed)
+        name = f"level {level}" + ("" if seed is None else f" seed {seed}")
+        for writer in writers:
+            yield f"{writer.__name__} {name} corner legs", writer(scaffold)
+            # the cell-path document, legs expanded back to every cell centre
+            yield f"{writer.__name__} {name}", writer(_expanded(scaffold))
     for rank, labels, radius in DAVIS_BALLS:
         gens = [f"g{i}" for i in range(rank)]
         given = {pair: m for pair, m in zip(combinations(gens, 2), labels) if m != "inf"}

@@ -21,7 +21,7 @@ from coxbound.carpet import (CarpetStar, RoutingError, _cell_center, _entry_cell
                              build_carpet_approx, build_k5_scaffold,
                              node_disjoint_paths, scaffold_svg, scaffold_to_json,
                              verify_k5_graph)
-from test_carpet import _cell_kept
+from test_carpet import _cell_kept, _expanded
 
 
 def _corridor_graph(level: int) -> nx.Graph:
@@ -179,30 +179,45 @@ def _routed_through_networkx(level, seed=None):
 @pytest.mark.parametrize("level, seed", [(2, seed) for seed in range(12)] +
                          [(3, seed) for seed in (0, 4, 7)] + [(4, None)])
 def test_scaffold_matches_networkx_routing(level, seed):
-    assert scaffold_to_json(build_k5_scaffold(level, seed)) == \
+    """The library's legs, expanded back to every cell centre, are the legs
+    the networkx router writes through every centre of its paths."""
+    assert scaffold_to_json(_expanded(build_k5_scaffold(level, seed))) == \
         scaffold_to_json(_routed_through_networkx(level, seed))
 
 
-# SHA-256 of scaffold_to_json(build_k5_scaffold(5)), computed with the networkx
-# router before the integer one replaced it
+# SHA-256 of scaffold_to_json(build_k5_scaffold(5)) with every leg written
+# through each cell centre of its path, computed with the networkx router
+# before the integer one replaced it; the test hashes the library's scaffold
+# with its legs expanded back to every centre
 LEVEL_5_SCAFFOLD = "6eb802c959acaaceb385f0d517db6f6c9871e05084db3f1d665cb91eee29ded0"
+# and of the same scaffold with its legs by their corners, computed once the
+# expanded legs matched LEVEL_5_SCAFFOLD
+LEVEL_5_CORNER_SCAFFOLD = "561d2c22936f0be0529d6e3ac6e7296cf5ce97cbdff64e66c4893422bf8e7ed0"
 
 
 def test_level_5_scaffold():
     s = build_k5_scaffold(5)
-    assert hashlib.sha256(scaffold_to_json(s).encode()).hexdigest() == LEVEL_5_SCAFFOLD
+    assert hashlib.sha256(scaffold_to_json(s).encode()).hexdigest() == LEVEL_5_CORNER_SCAFFOLD
+    assert hashlib.sha256(scaffold_to_json(_expanded(s)).encode()).hexdigest() == \
+        LEVEL_5_SCAFFOLD
     assert verify_k5_graph(s)
 
 
-# SHA-256 of scaffold_to_json(build_k5_scaffold(6)), computed with the router
-# over the materialised residual network, before it read the arcs off the
-# corridor adjacency
+# SHA-256 of scaffold_to_json(build_k5_scaffold(6)) with every leg written
+# through each cell centre of its path, computed with the router over the
+# materialised residual network, before it read the arcs off the corridor
+# adjacency; the test hashes the expanded scaffold, as above
 LEVEL_6_SCAFFOLD = "9b0b58089d9820502a9d4de04452e276d295ec46bea2ef0a766bbdf40244b492"
+# and of the same scaffold with its legs by their corners, computed once the
+# expanded legs matched LEVEL_6_SCAFFOLD
+LEVEL_6_CORNER_SCAFFOLD = "591a9c9e43a3b0083aae5baba15f322a8aa98051cd51a1887095d5970881cb77"
 
 
 def test_level_6_scaffold():
     s = build_k5_scaffold(6)
-    assert hashlib.sha256(scaffold_to_json(s).encode()).hexdigest() == LEVEL_6_SCAFFOLD
+    assert hashlib.sha256(scaffold_to_json(s).encode()).hexdigest() == LEVEL_6_CORNER_SCAFFOLD
+    assert hashlib.sha256(scaffold_to_json(_expanded(s)).encode()).hexdigest() == \
+        LEVEL_6_SCAFFOLD
     assert verify_k5_graph(s)
 
 
