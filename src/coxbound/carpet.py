@@ -7,9 +7,10 @@ approximants (the outer boundary counts as one more peripheral circle).  A
 level-L carpet is held as its level and read on the 3^L x 3^L cell grid:
 every square of it, kept, removed, marked or the outer boundary, is an
 integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
-One table, `hole_at`, answers for every cell whether it is kept and which
-removed square covers it otherwise; every other membership question reads it.
-A cell has one id, its grid position i * 3^L + j, the index of `hole_at`.  The
+One rule on a cell's base-3 digits, `CarpetApprox.hole`, answers whether the
+cell is kept and which removed square covers it otherwise; every membership
+question reads it, and `removed` serves only as the drawings' order of the
+squares.  A cell has one id, its grid position i * 3^L + j.  The
 star-embedding router works on the corridor graph of kept cells, held as
 increasing adjacency lists on those ids; its flow routine,
 `node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp that
@@ -20,8 +21,8 @@ centers where its path turns, the entry cell's center and the mark, a
 polyline whose point set is the one through every cell center of the path.
 A verifier that shares no code with the router re-checks every output with
 the exact segment predicates, on the star's points scaled to integers and
-the removed squares it looks up from the cell grid.  The drawings read the
-cells too.
+the removed squares that `hole` names for the cells the legs pass.  The
+drawings read the cells too.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ F0, F1 = Fraction(0), Fraction(1)
 
 class CarpetApprox(_Frozen):
     """The level-`level` middle-ninth carpet, held as its level.  Its squares
-    are integer cells (x, y, side) in units of 3^-level; each table below is
-    computed from the level when first read, and `hole_at` is the one that
-    says which cells are kept."""
+    are integer cells (x, y, side) in units of 3^-level; `hole` says which
+    cells are kept, and each table below is computed from the level when
+    first read."""
 
     def __init__(self, level: int):
         vars(self)["level"] = level
@@ -62,27 +63,31 @@ class CarpetApprox(_Frozen):
     def __hash__(self) -> int:
         return hash((self.level,))
 
+    def hole(self, i: int, j: int) -> Optional[tuple[int, int, int]]:
+        """The removed square (x, y, side) that covers cell (i, j) of the
+        3^level grid, or None for a kept cell.  A square of side s = 3^p is
+        the middle ninth of a kept square of side 3s, so the highest base-3
+        place p at which both i and j have the digit 1 fixes it, its corner
+        i and j with their p lower places cleared."""
+        side = 3 ** self.level
+        while side > 1:
+            side //= 3
+            if i // side % 3 == 1 and j // side % 3 == 1:
+                return (i - i % side, j - j % side, side)
+        return None
+
     @cached_property
     def kept(self) -> tuple[tuple[int, int, int], ...]:
         """The 8^level cells of side 1 that no removed square covers, in
         row-major order."""
         n = 3 ** self.level
-        return tuple((*divmod(r, n), 1) for r, k in enumerate(self.hole_at) if k < 0)
+        return tuple((i, j, 1) for i in range(n) for j in range(n) if self.hole(i, j) is None)
 
     @cached_property
-    def removed(self) -> tuple[tuple[int, int, int], ...]:   # cumulative, all scales
+    def removed(self) -> tuple[tuple[int, int, int], ...]:
+        """The removed squares, all scales, in subdivision order: the order
+        the SVG drawings emit them in."""
         return tuple(_removed_cells(self.level))
-
-    @cached_property
-    def hole_at(self) -> list[int]:
-        """For each cell (i, j) of the 3^level grid, at i * 3^level + j, the
-        index in `removed` of the removed square that covers it, or -1."""
-        n = 3 ** self.level
-        table = [-1] * (n * n)
-        for k, (x, y, side) in enumerate(self.removed):
-            for i in range(x, x + side):
-                table[i * n + y:i * n + y + side] = [k] * side
-        return table
 
     @cached_property
     def corridors(self) -> tuple[list[list[int]], list[int]]:
@@ -94,18 +99,19 @@ class CarpetApprox(_Frozen):
         cells by distance from the grid center, ties in id order (the
         router's candidate centers)."""
         n = 3 ** self.level
-        hole_at = self.hole_at
+        hole = self.hole
+        kept = [hole(i, j) is None for i in range(n) for j in range(n)]
         none: list[int] = []        # shared by every removed cell, never mutated
         adjacency = []
-        for r, k in enumerate(hole_at):
-            if k >= 0:
+        for r, is_kept in enumerate(kept):
+            if not is_kept:
                 adjacency.append(none)
                 continue
             i, j = divmod(r, n)
             adjacency.append([s for s in (r - n if i > 0 else -1, r - 1 if j > 0 else -1,
                                           r + 1 if j < n - 1 else -1, r + n if i < n - 1 else -1)
-                              if s >= 0 and hole_at[s] < 0])
-        by_center = sorted((r for r, k in enumerate(hole_at) if k < 0), key=lambda r: (
+                              if s >= 0 and kept[s]])
+        by_center = sorted((r for r, is_kept in enumerate(kept) if is_kept), key=lambda r: (
             abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n), r))
         return adjacency, by_center
 
@@ -303,10 +309,7 @@ def _is_peripheral_cell(carpet: CarpetApprox, cell: tuple[int, int, int]) -> boo
     the removed square covering its corner cell, if any, is the cell itself."""
     x, y, _ = cell
     n = 3 ** carpet.level
-    if cell == (0, 0, n):
-        return True
-    k = carpet.hole_at[x * n + y] if 0 <= x < n and 0 <= y < n else -1
-    return k >= 0 and carpet.removed[k] == cell
+    return cell == (0, 0, n) or (0 <= x < n and 0 <= y < n and carpet.hole(x, y) == cell)
 
 
 def _split_neighbours(adj: Sequence[Sequence[int]], u: int) -> list[int]:
@@ -449,7 +452,7 @@ def _entry_cell(p: Point, carpet: CarpetApprox) -> tuple[int, int]:
         raise ValueError(f"marked point {p} sits on a cell corner; move it")
     i, j = int(xs), int(ys)
     a, b = (i - 1, j) if xs.denominator == 1 else (i, j - 1)
-    if 0 <= a < n and 0 <= b < n and carpet.hole_at[a * n + b] < 0:
+    if 0 <= a < n and 0 <= b < n and carpet.hole(a, b) is None:
         return (a, b)
     return (i, j)           # the other cell beside the edge: kept, see above
 
@@ -534,9 +537,11 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     the 3^level grid, are integers too and every predicate runs on integers.
     An exact bounding-box test runs in front of every segment_common call, and a
     segment meets segment_in_box only for the removed squares that cover a
-    grid cell its closed box touches (`hole_at`): closed sets whose closed
-    boxes are disjoint are disjoint, and a closed removed square is the union
-    of the closed cells it covers, so no verdict changes.
+    grid cell its closed box touches (`CarpetApprox.hole`): closed sets whose
+    closed boxes are disjoint are disjoint, and a closed removed square is the
+    union of the closed cells it covers, so no verdict changes.  A hit at a
+    mark is compared on the integers too, by cross-multiplying the clip
+    parameter.
     """
     if len(star.legs) != 4:
         return False
@@ -551,17 +556,15 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
         return c.numerator * (scale // c.denominator)
 
     legs = [[(scaled(x), scaled(y)) for x, y in leg] for leg in star.legs]
-    removed, hole_at = carpet.removed, carpet.hole_at
     # the marks: four distinct peripheral squares (removed squares or the
     # outer square), each point on the boundary of its square
     if len({mark.cell for mark in star.marks}) != 4:
         return False
     for leg, mark in zip(legs, star.marks):
         x, y, side = mark.cell
-        if mark.cell != (0, 0, n):
-            k = hole_at[x * n + y] if 0 <= x < n and 0 <= y < n else -1
-            if k < 0 or removed[k] != mark.cell:
-                return False
+        if mark.cell != (0, 0, n) and not (
+                0 <= x < n and 0 <= y < n and carpet.hole(x, y) == mark.cell):
+            return False
         x, y, side = x * unit, y * unit, side * unit
         px, py = leg[-1]
         if not (x <= px <= x + side and y <= py <= y + side
@@ -578,15 +581,18 @@ def verify_star_in_carpet(carpet: CarpetApprox, star: CarpetStar) -> bool:
     for leg, boxes, mark in zip(legs, leg_boxes, star.marks):
         point, outer = leg[-1], mark.cell == (0, 0, n)
         for p, q, box in zip(leg[:-1], leg[1:], boxes):
-            for k in _holes_meeting(box, unit, n, hole_at):
-                x, y, side = (v * unit for v in removed[k])
+            for square in _holes_meeting(box, unit, carpet):
+                x, y, side = (v * unit for v in square)
                 hit = segment_in_box(p, q, x, y, x + side, y + side)
                 if hit is None:
                     continue
                 t0, t1 = hit
                 if t0 != t1:
                     return False
-                if not (removed[k] == mark.cell and lerp(p, q, t0) == point):
+                # the hit p + t0 (q - p), t0 = a / b with b > 0, is the mark
+                a, b = t0.numerator, t0.denominator
+                if not (square == mark.cell and (q[0] - p[0]) * a == (point[0] - p[0]) * b
+                        and (q[1] - p[1]) * a == (point[1] - p[1]) * b):
                     return False
             # outer boundary: stay inside, touch only at an outer marked point
             for pt in (p, q):
@@ -608,14 +614,15 @@ def _box(p: tuple[int, int], q: tuple[int, int]) -> Box:
     return x0, y0, x1, y1
 
 
-def _holes_meeting(box: Box, unit: int, n: int, hole_at: Sequence[int]) -> set[int]:
-    """Indices of the removed squares that cover a cell of the n x n grid
-    (cells of side `unit`) whose closed box meets the closed `box`."""
+def _holes_meeting(box: Box, unit: int, carpet: CarpetApprox) -> set[tuple[int, int, int]]:
+    """The removed squares of `carpet` that cover a cell of its grid (cells
+    of side `unit`) whose closed box meets the closed `box`."""
+    n = 3 ** carpet.level
     x0, y0, x1, y1 = box
     i0, i1 = max(0, -(-x0 // unit) - 1), min(n - 1, x1 // unit)
     j0, j1 = max(0, -(-y0 // unit) - 1), min(n - 1, y1 // unit)
-    found = {hole_at[i * n + j] for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
-    found.discard(-1)
+    found = {carpet.hole(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
+    found.discard(None)
     return found
 
 
@@ -765,15 +772,11 @@ def scaffold_to_json(s: K5Scaffold) -> str:
     [{"to_carpet": j, "polyline": [[x, y], ...]}, ...]}, leg k going to
     copy `_others(i)[k]` and every coordinate written as the str of its
     `Fraction`.  Written directly for the fixed schema, as `report_to_json`
-    is: such a str needs no JSON escaping, and the polylines of a star that
-    several copies share are laid out once."""
-    polylines: dict[int, list[str]] = {}    # by identity, as verify_k5_graph keys stars
+    is: such a str needs no JSON escaping."""
     stars = []
     for i, st in enumerate(s.stars):
-        if id(st) not in polylines:
-            polylines[id(st)] = [_array([_POINT.format(str(x), str(y)) for x, y in leg], 5)
-                                 for leg in st.legs]
-        legs = [_LEG.format(j, p) for j, p in zip(_others(i), polylines[id(st)])]
+        legs = [_LEG.format(j, _array([_POINT.format(str(x), str(y)) for x, y in leg], 5))
+                for j, leg in zip(_others(i), st.legs)]
         x, y = st.center
         stars.append(_STAR.format(i, str(x), str(y), _array(legs, 3)))
     adjacency = [_array([str(a) for a in row], 2) for row in s.adjacency()]
@@ -849,9 +852,7 @@ def scaffold_svg(s: K5Scaffold) -> str:
     `<circle>` at the star's center and a `<text>` label; then one `<line>`
     per pair of `edges`.  A point p of copy i, whose frame's top left corner
     is (ox, oy), is drawn at (ox + float(p_x)*280, oy + (280 - float(p_y)*280)),
-    written `.2f`.  A leg point's products are computed once per distinct
-    star and each x and y string of its legs once per copy, from that
-    expression in that order."""
+    written `.2f`."""
     size, cs = 1200.0, 280.0
     centers = []
     for i in range(5):
@@ -859,7 +860,6 @@ def scaffold_svg(s: K5Scaffold) -> str:
         centers.append((size / 2 + 400 * math.cos(ang) - cs / 2,
                         size / 2 - 400 * math.sin(ang) - cs / 2))
     body = []
-    products: dict[int, tuple] = {}     # by star identity, see below
 
     def to_abs(i, p):
         ox, oy = centers[i]
@@ -871,18 +871,8 @@ def scaffold_svg(s: K5Scaffold) -> str:
                     'fill="#e8e0d0" stroke="#555"/>')
         body += _hole_rects(s.carpet, cs, ox, oy, ".2f",
                             'fill="#ffffff" stroke="#aaa" stroke-width="0.4"')
-        if id(star) not in products:
-            # the legs as (x*280, 280 - y*280), then their distinct values;
-            # x.numerator / x.denominator is float(x): int division rounds correctly
-            legs = [[(x.numerator / x.denominator * cs, cs - y.numerator / y.denominator * cs)
-                     for x, y in leg] for leg in star.legs]
-            products[id(star)] = (legs, {a for leg in legs for a, _ in leg},
-                                  {b for leg in legs for _, b in leg})
-        legs, a_values, b_values = products[id(star)]
-        xs = {a: format(ox + a, ".2f") for a in a_values}
-        ys = {b: format(oy + b, ".2f") for b in b_values}
-        for leg in legs:
-            pts = " ".join([xs[a] + "," + ys[b] for a, b in leg])
+        for leg in star.legs:
+            pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in (to_abs(i, p) for p in leg)])
             body.append(f'<polyline points="{pts}" fill="none" stroke="#b03030" stroke-width="1.5"/>')
         cx, cy = to_abs(i, star.center)
         body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#b03030"/>')

@@ -74,8 +74,8 @@ def _square(cell, level):
 
 def _cell_kept(i, j, level):
     """Whether cell (i, j) of the 3^level grid is kept, from its base-3
-    digits alone: no digit position has a 1 in both coordinates.  The
-    oracle for `CarpetApprox.hole_at`, which the library reads instead."""
+    digits alone: no digit position has a 1 in both coordinates.  An
+    oracle for `CarpetApprox.hole`, written as a scan from the lowest place."""
     for _ in range(level):
         if i % 3 == 1 and j % 3 == 1:
             return False
@@ -138,19 +138,58 @@ def test_carpet_self_similarity():
     assert {(x, y) for x, y, _ in build_carpet_approx(2).kept} == expected
 
 
-def test_hole_table_matches_removed_squares():
-    """`hole_at` marks exactly the cells that are not kept, each with the
-    removed square whose interior holds the cell's center."""
+@lru_cache(maxsize=None)
+def _hole_table(level):
+    """For each cell (i, j) of the 3^level grid, at i * 3^level + j, the
+    index in `removed` of the removed square that covers it, or -1: filled
+    from `removed`, square by square, an oracle for `CarpetApprox.hole`."""
+    n = 3 ** level
+    table = [-1] * (n * n)
+    for k, (x, y, side) in enumerate(build_carpet_approx(level).removed):
+        for i in range(x, x + side):
+            table[i * n + y:i * n + y + side] = [k] * side
+    return table
+
+
+@lru_cache(maxsize=None)
+def _removed_set(level):
+    return frozenset(build_carpet_approx(level).removed)
+
+
+def test_hole_rule_matches_hole_table():
+    """`hole` agrees on every cell of levels 0-5 with the table filled from
+    `removed` and with the digit oracle: None exactly on the kept cells,
+    otherwise the removed square whose interior holds the cell's center."""
     for level in range(6):
         c = build_carpet_approx(level)
+        table = _hole_table(level)
         n = 3 ** level
         for i in range(n):
             for j in range(n):
-                k = c.hole_at[i * n + j]
-                assert (k == -1) == _cell_kept(i, j, level)
-                if k != -1:
-                    assert _square(c.removed[k], level).contains_open(
+                k, square = table[i * n + j], c.hole(i, j)
+                assert (k == -1) == (square is None) == _cell_kept(i, j, level)
+                if square is not None:
+                    assert square == c.removed[k]
+                    assert _square(square, level).contains_open(
                         (F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3 ** 7 - 1), st.integers(0, 3 ** 7 - 1))
+@example(3 ** 6, 3 ** 6)
+@example(3 ** 6 - 1, 3 ** 6)
+@example(1, 1)
+@example(3 ** 5 + 1, 3 ** 5 + 3 ** 2 + 1)
+def test_hole_rule_on_level_7_cells(i, j):
+    """On random cells of the level-7 grid, `hole` is None exactly on the
+    kept cells, and otherwise a square of `removed` that contains the
+    cell."""
+    square = build_carpet_approx(7).hole(i, j)
+    assert (square is None) == _cell_kept(i, j, 7)
+    if square is not None:
+        x, y, side = square
+        assert square in _removed_set(7)
+        assert x <= i < x + side and y <= j < y + side
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +200,7 @@ def _peripheral_squares(level):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_peripheral_rule_matches_removed_squares(data):
-    """The `hole_at` lookup that embed_star_in_carpet checks mark cells with
+    """The `hole` rule that embed_star_in_carpet checks mark cells with
     agrees with membership in the reference removed squares plus the unit
     square: on removed cells, on aligned cells of every scale (kept, removed
     and out of range), and on off-grid cells, cells of side 0 and cells of

@@ -183,7 +183,7 @@ def test_carpet_approx_contract():
     with pytest.raises(AttributeError):
         del c.level
     assert c.level == 2
-    assert _cached(CarpetApprox) == {"kept", "removed", "hole_at", "corridors"}
+    assert _cached(CarpetApprox) == {"kept", "removed", "corridors"}
     _computed_once(lambda: CarpetApprox(2), _cached(CarpetApprox))
 
 

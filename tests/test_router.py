@@ -154,13 +154,12 @@ def test_corridor_adjacency_is_increasing(level):
     cell and a removed cell has none; every list is strictly increasing, and
     stays so with the sink, 3^(2 level), the largest id, joined.  The
     candidate centers are the kept cells."""
-    c = build_carpet_approx(level)
-    adjacency, by_center = c.corridors
-    sink = 9 ** level
+    adjacency, by_center = build_carpet_approx(level).corridors
+    n, sink = 3 ** level, 9 ** level
     assert len(adjacency) == sink
     for r, nbrs in enumerate(adjacency):
-        assert all(c.hole_at[s] < 0 for s in nbrs)
-        if c.hole_at[r] >= 0:
+        assert all(_cell_kept(*divmod(s, n), level) for s in nbrs)
+        if not _cell_kept(*divmod(r, n), level):
             assert nbrs == []
         joined = [*nbrs, sink]
         assert all(a < b for a, b in zip(joined, joined[1:]))
@@ -223,10 +222,13 @@ def test_level_6_scaffold():
 
 def test_k5_request_builds_no_kept_cells():
     """A scaffold's build, check and emission read cells by grid position:
-    none of them builds the carpet's `kept` tuple of cells."""
+    none of them builds the carpet's `kept` tuple of cells, and its build,
+    check and JSON fill only the corridor lists, not `removed` either (only
+    the SVG drawing reads that)."""
     s = build_k5_scaffold(3)
     assert verify_k5_graph(s)
     scaffold_to_json(s)
+    assert set(vars(s.carpet)) == {"level", "corridors"}
     scaffold_svg(s)
     assert "kept" not in vars(s.carpet)
 
