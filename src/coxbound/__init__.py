@@ -5,7 +5,7 @@ Sierpinski-carpet star embeddings."""
 from .carpet import (CarpetApprox, CarpetStar, HoledDisk, K5Scaffold,
                      MarkedPoint, RoutingError, StarEmbedding,
                      build_carpet_approx, build_k5_scaffold, carpet_svg,
-                     embed_star_in_carpet, excluded_t_values,
+                     corridors, embed_star_in_carpet, excluded_t_values,
                      null_family_check, scaffold_svg, scaffold_to_json,
                      select_t_avoiding, star_family_point,
                      verify_k5_graph, verify_leg_family_disjointness,

@@ -4,15 +4,17 @@ five copies of one carpet, glued along the marks of their stars.
 All geometry is exact.  The carpet is the standard middle-ninth model in the
 unit square; the removed open squares are the peripheral Jordan-region
 approximants (the outer boundary counts as one more peripheral circle).  A
-level-L carpet is held as its level and read on the 3^L x 3^L cell grid:
-every square of it, kept, removed, marked or the outer boundary, is an
-integer cell (x, y, side) in units of 3^-L, and only points are `Fraction`s.
+level-L carpet is a record of its level, read on the 3^L x 3^L cell grid,
+and neither it nor a K5 scaffold caches anything.  Every square of it,
+kept, removed, marked or the outer boundary, is an integer cell
+(x, y, side) in units of 3^-L, and only points are `Fraction`s.
 One rule on a cell's base-3 digits, `CarpetApprox.hole`, answers whether the
 cell is kept and which removed square covers it otherwise; every membership
 question reads it, and `removed` serves only as the drawings' order of the
 squares.  A cell has one id, its grid position i * 3^L + j.  The
 star-embedding router works on the corridor graph of kept cells, held as
-increasing adjacency lists on those ids; its flow routine,
+increasing adjacency lists on those ids, which `corridors` builds for one
+routing call and nothing keeps after it; the router's flow routine,
 `node_disjoint_paths`, is a port of networkx's node-split Edmonds-Karp that
 reads networkx's residual network off those lists instead of building it, and
 returns exactly the paths networkx returns (networkx stays its oracle in the
@@ -29,39 +31,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .classify import _array
 from .geometry import (DISJOINT, OVERLAP, POINT, Point, lerp, on_segment,
                        segment_common, segment_in_box)
-from .system import _Frozen
 
 MAX_CARPET_LEVEL = 7
 
 F0, F1 = Fraction(0), Fraction(1)
 
 
-class CarpetApprox(_Frozen):
-    """The level-`level` middle-ninth carpet, held as its level.  Its squares
-    are integer cells (x, y, side) in units of 3^-level; `hole` says which
-    cells are kept, and each table below is computed from the level when
-    first read."""
-
-    def __init__(self, level: int):
-        vars(self)["level"] = level
-
-    def __repr__(self) -> str:
-        return f"CarpetApprox(level={self.level!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.level,))
+class CarpetApprox(NamedTuple):
+    """The level-`level` middle-ninth carpet, a record of its level alone.
+    Its squares are integer cells (x, y, side) in units of 3^-level; `hole`
+    says which cells are kept, and `kept` and `removed` are computed from
+    the level each time they are read."""
+    level: int
 
     def hole(self, i: int, j: int) -> Optional[tuple[int, int, int]]:
         """The removed square (x, y, side) that covers cell (i, j) of the
@@ -76,44 +63,45 @@ class CarpetApprox(_Frozen):
                 return (i - i % side, j - j % side, side)
         return None
 
-    @cached_property
+    @property
     def kept(self) -> tuple[tuple[int, int, int], ...]:
         """The 8^level cells of side 1 that no removed square covers, in
         row-major order."""
         n = 3 ** self.level
         return tuple((i, j, 1) for i in range(n) for j in range(n) if self.hole(i, j) is None)
 
-    @cached_property
+    @property
     def removed(self) -> tuple[tuple[int, int, int], ...]:
         """The removed squares, all scales, in subdivision order: the order
         the SVG drawings emit them in."""
         return tuple(_removed_cells(self.level))
 
-    @cached_property
-    def corridors(self) -> tuple[list[list[int]], list[int]]:
-        """The corridor graph of kept cells as integer lists, built once per
-        carpet, cell (i, j) having the id i * 3^level + j, its grid position:
-        for each grid position, the kept cells among (i-1, j), (i, j-1),
-        (i, j+1), (i+1, j), in that order, which is increasing id order (the
-        router's input), or [] for a removed cell; and the ids of the kept
-        cells by distance from the grid center, ties in id order (the
-        router's candidate centers)."""
-        n = 3 ** self.level
-        hole = self.hole
-        kept = [hole(i, j) is None for i in range(n) for j in range(n)]
-        none: list[int] = []        # shared by every removed cell, never mutated
-        adjacency = []
-        for r, is_kept in enumerate(kept):
-            if not is_kept:
-                adjacency.append(none)
-                continue
-            i, j = divmod(r, n)
-            adjacency.append([s for s in (r - n if i > 0 else -1, r - 1 if j > 0 else -1,
-                                          r + 1 if j < n - 1 else -1, r + n if i < n - 1 else -1)
-                              if s >= 0 and kept[s]])
-        by_center = sorted((r for r, is_kept in enumerate(kept) if is_kept), key=lambda r: (
-            abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n), r))
-        return adjacency, by_center
+
+def corridors(carpet: CarpetApprox) -> tuple[list[list[int]], list[int]]:
+    """The corridor graph of the kept cells of `carpet` as integer lists,
+    cell (i, j) having the id i * 3^level + j, its grid position: for each
+    grid position, the kept cells among (i-1, j), (i, j-1), (i, j+1),
+    (i+1, j), in that order, which is increasing id order (the router's
+    input), or [] for a removed cell; and the ids of the kept cells by
+    distance from the grid center, ties in id order (the router's candidate
+    centers).  It is the state of one routing call: `build_k5_scaffold`
+    builds it once, routes every star on it and drops it."""
+    n = 3 ** carpet.level
+    hole = carpet.hole
+    kept = [hole(i, j) is None for i in range(n) for j in range(n)]
+    none: list[int] = []        # shared by every removed cell, never mutated
+    adjacency = []
+    for r, is_kept in enumerate(kept):
+        if not is_kept:
+            adjacency.append(none)
+            continue
+        i, j = divmod(r, n)
+        adjacency.append([s for s in (r - n if i > 0 else -1, r - 1 if j > 0 else -1,
+                                      r + 1 if j < n - 1 else -1, r + n if i < n - 1 else -1)
+                          if s >= 0 and kept[s]])
+    by_center = sorted((r for r, is_kept in enumerate(kept) if is_kept), key=lambda r: (
+        abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n), r))
+    return adjacency, by_center
 
 
 def _removed_cells(level: int) -> list[tuple[int, int, int]]:
@@ -457,8 +445,11 @@ def _entry_cell(p: Point, carpet: CarpetApprox) -> tuple[int, int]:
     return (i, j)           # the other cell beside the edge: kept, see above
 
 
-def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> CarpetStar:
-    """Route a 4-pointed star through the corridor graph of kept cells.
+def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint],
+                         graph: tuple[list[list[int]], list[int]]) -> CarpetStar:
+    """Route a 4-pointed star through `graph`, the corridor graph of the kept
+    cells of `carpet` that `corridors(carpet)` returns: the caller builds it,
+    may route several stars on it, and drops it when it is done.
 
     Legs are polylines with exact rational vertices, pairwise disjoint except
     at the common center, avoiding every removed-square interior and touching
@@ -492,18 +483,18 @@ def embed_star_in_carpet(carpet: CarpetApprox, marks: Sequence[MarkedPoint]) -> 
     if len(set(entries)) != 4:
         raise RoutingError("two marked points enter through the same cell")
 
-    adjacency, by_center = carpet.corridors
+    adjacency, by_center = graph
     entry_ids = [i * n + j for i, j in entries]
     # the corridor graph: the grid cells, then a sink joined to every entry
     # cell; the sink's id, n^2, is the largest, so every list stays increasing
     sink = n * n
-    graph = adjacency + [sorted(entry_ids)]
+    joined = adjacency + [sorted(entry_ids)]
     for k in entry_ids:
-        graph[k] = [*graph[k], sink]
+        joined[k] = [*joined[k], sink]
     for center in by_center:
-        if center in entry_ids or len(graph[center]) < 4:
+        if center in entry_ids or len(joined[center]) < 4:
             continue
-        paths = nx.node_disjoint_paths(graph, center, sink)
+        paths = nx.node_disjoint_paths(joined, center, sink)
         if len(paths) < 4:
             continue
         # each path ends [..., entry cell, sink]: the sink's only neighbours
@@ -649,30 +640,20 @@ def _others(i: int) -> list[int]:
     return [j for j in range(5) if j != i]
 
 
-class K5Scaffold(_Frozen):
-    """Five copies 0..4 of one carpet, star i embedded in copy i.  The stars
-    carry the identification: leg k of star i ends at the mark where copy i
-    is glued to `_others(i)[k]`.  Copies marked alike share one star."""
-
-    def __init__(self, carpet: CarpetApprox, stars: tuple[CarpetStar, ...]):
-        vars(self).update(carpet=carpet, stars=stars)
-
-    def __repr__(self) -> str:
-        return f"K5Scaffold(carpet={self.carpet!r}, stars={self.stars!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.carpet, self.stars) == (other.carpet, other.stars)
-
-    def __hash__(self) -> int:
-        return hash((self.carpet, self.stars))
+class K5Scaffold(NamedTuple):
+    """Five copies 0..4 of one carpet, star i embedded in copy i: a record of
+    the carpet and the stars, which keeps no routing state.  The stars carry
+    the identification: leg k of star i ends at the mark where copy i is
+    glued to `_others(i)[k]`.  Copies marked alike share one star.  `marks`
+    and `edges` are computed from the stars each time they are read."""
+    carpet: CarpetApprox
+    stars: tuple[CarpetStar, ...]
 
     @property
     def level(self) -> int:
         return self.carpet.level
 
-    @cached_property
+    @property
     def marks(self) -> dict[tuple[int, int], MarkedPoint]:
         """For each unordered pair {i, j}, the marked point used in copy i
         (key (i, j)) and in copy j (key (j, i)); the two are identified as
@@ -680,7 +661,7 @@ class K5Scaffold(_Frozen):
         return {(i, j): mark for i, star in enumerate(self.stars)
                 for j, mark in zip(_others(i), star.marks)}
 
-    @cached_property
+    @property
     def edges(self) -> list[tuple[int, int]]:
         """The pairs (i, j), i < j, where copy i has a mark for copy j or copy
         j one for copy i, in increasing order: the edges that
@@ -688,10 +669,11 @@ class K5Scaffold(_Frozen):
         return sorted({tuple(sorted(k)) for k in self.marks})
 
     def adjacency(self):
+        marks = self.marks
         adj = [[0] * 5 for _ in range(5)]
         for i in range(5):
             for j in range(5):
-                if i != j and (i, j) in self.marks and (j, i) in self.marks:
+                if i != j and (i, j) in marks and (j, i) in marks:
                     adj[i][j] = 1
         return adj
 
@@ -730,23 +712,26 @@ def _cell_edge_midpoint(cell: tuple[int, int, int], direction: str, level: int) 
 
 def build_k5_scaffold(level: int = 2, seed: Optional[int] = None) -> K5Scaffold:
     """Five copies of one carpet, ten identified peripheral-circle pairs, five
-    embedded 4-pointed stars: the combinatorial K5 certificate.  Each distinct
-    mark assignment is routed once.  This routes only; verify_k5_graph is the
-    check of the stars and the graph.  A level below 2 is a ValueError,
-    raised before any carpet is built: the marks lie on level-2 squares."""
+    embedded 4-pointed stars: the combinatorial K5 certificate.  The corridor
+    graph is built once, each distinct mark assignment is routed on it once,
+    and the graph is dropped on return: the scaffold does not hold it.  This
+    routes only; verify_k5_graph is the check of the stars and the graph.  A
+    level below 2 is a ValueError, raised before any carpet is built: the
+    marks lie on level-2 squares."""
     import random
 
     if level < 2:
         raise ValueError(f"scaffold needs carpets of level >= 2, got {level}")
     rng = random.Random(seed) if seed is not None else None
     carpet = build_carpet_approx(level)
+    graph = corridors(carpet)
     routed: dict[tuple[MarkedPoint, ...], CarpetStar] = {}
     stars = []
     for i in range(5):
         assigned = tuple(_default_mark_assignment(carpet, rng))
         if assigned not in routed:
             try:
-                routed[assigned] = embed_star_in_carpet(carpet, assigned)
+                routed[assigned] = embed_star_in_carpet(carpet, assigned, graph)
             except RoutingError as exc:
                 raise RoutingError(str(exc), carpet_index=i) from exc
         stars.append(routed[assigned])
@@ -804,25 +789,27 @@ _POINT = '[\n              "{}",\n              "{}"\n            ]'
 
 # --- SVG rendering ----------------------------------------------------------------
 
-def _hole_rects(c: CarpetApprox, side: float, ox: float, oy: float, spec: str,
-                style: str) -> Iterator[str]:
-    """Yield one `<rect ... style/>` per removed square of `c`, in `removed`
-    order, for the carpet drawn as the square of side `side` whose top left
-    corner is (ox, oy), y pointing down: the cell (x, y, s) has x = ox + x/n*side,
-    y = oy + side - y/n*side - s/n*side and width and height s/n*side, with
-    n = 3^level, each written with the format `spec`.
+def _hole_rects(level: int, squares: Sequence[tuple[int, int, int]], side: float,
+                ox: float, oy: float, spec: str, style: str) -> Iterator[str]:
+    """Yield one `<rect ... style/>` per square of `squares`, the `removed`
+    squares of the level-`level` carpet, in order, for the carpet drawn as
+    the square of side `side` whose top left corner is (ox, oy), y pointing
+    down: the cell (x, y, s) has x = ox + x/n*side, y = oy + side - y/n*side
+    - s/n*side and width and height s/n*side, with n = 3^level, each
+    written with the format `spec`.  A caller drawing several copies reads
+    `removed` once and passes it to each.
 
     Every string is formatted once, from exactly that float expression
     evaluated in that order (an algebraically equal one may round
     differently): x from a list by grid integer, the width by side (a power
     of 3 below n), and y, with the rest of the element, once per pair
     (y, s), since removed squares share few rows."""
-    n = 3 ** c.level
+    n = 3 ** level
     at = [k / n * side for k in range(n + 1)]   # k / n rounds correctly: float(Fraction(k, n))
     xs = [format(ox + v, spec) for v in at]
-    widths = {3 ** k: format(at[3 ** k], spec) for k in range(c.level)}
+    widths = {3 ** k: format(at[3 ** k], spec) for k in range(level)}
     tails: dict[tuple[int, int], str] = {}
-    for x, y, s in c.removed:
+    for x, y, s in squares:
         tail = tails.get((y, s))
         if tail is None:
             w = widths[s]
@@ -838,7 +825,7 @@ def carpet_svg(c: CarpetApprox) -> str:
     down), n = 3^level."""
     size = 600.0
     body = [f'<rect x="0" y="0" width="{size:.0f}" height="{size:.0f}" fill="#e8e0d0"/>',
-            *_hole_rects(c, size, 0.0, 0.0, ".3f",
+            *_hole_rects(c.level, c.removed, size, 0.0, 0.0, ".3f",
                          'fill="#ffffff" stroke="#999" stroke-width="0.5"')]
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '
             f'viewBox="0 0 {size:.0f} {size:.0f}">\n' + "\n".join(body) + "\n</svg>\n")
@@ -860,6 +847,7 @@ def scaffold_svg(s: K5Scaffold) -> str:
         centers.append((size / 2 + 400 * math.cos(ang) - cs / 2,
                         size / 2 - 400 * math.sin(ang) - cs / 2))
     body = []
+    removed, marks = s.carpet.removed, s.marks
 
     def to_abs(i, p):
         ox, oy = centers[i]
@@ -869,7 +857,7 @@ def scaffold_svg(s: K5Scaffold) -> str:
         ox, oy = centers[i]
         body.append(f'<rect x="{ox:.1f}" y="{oy:.1f}" width="{cs:.0f}" height="{cs:.0f}" '
                     'fill="#e8e0d0" stroke="#555"/>')
-        body += _hole_rects(s.carpet, cs, ox, oy, ".2f",
+        body += _hole_rects(s.level, removed, cs, ox, oy, ".2f",
                             'fill="#ffffff" stroke="#aaa" stroke-width="0.4"')
         for leg in star.legs:
             pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in (to_abs(i, p) for p in leg)])
@@ -879,8 +867,8 @@ def scaffold_svg(s: K5Scaffold) -> str:
         body.append(f'<text x="{ox + cs / 2:.1f}" y="{oy - 8:.1f}" text-anchor="middle" '
                     f'font-size="18">carpet {i + 1}</text>')
     for i, j in s.edges:
-        a = to_abs(i, s.marks[(i, j)].point)
-        b = to_abs(j, s.marks[(j, i)].point)
+        a = to_abs(i, marks[(i, j)].point)
+        b = to_abs(j, marks[(j, i)].point)
         body.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" y2="{b[1]:.2f}" '
                     'stroke="#3050b0" stroke-width="1" stroke-dasharray="5,4"/>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" height="{size:.0f}" '

@@ -17,7 +17,7 @@ from coxbound.carpet import (HOLED_DISK, T_RANGE, CarpetApprox, CarpetStar, K5Sc
                              MarkedPoint, RoutingError, StarEmbedding, _cell_center,
                              _cell_edge_midpoint, _default_mark_assignment, _entry_cell,
                              _is_peripheral_cell, build_carpet_approx,
-                             build_k5_scaffold, carpet_svg, embed_star_in_carpet,
+                             build_k5_scaffold, carpet_svg, corridors, embed_star_in_carpet,
                              excluded_t_values, null_family_check, scaffold_svg,
                              scaffold_to_json, select_t_avoiding,
                              star_family_point, verify_k5_graph,
@@ -152,8 +152,14 @@ def _hole_table(level):
 
 
 @lru_cache(maxsize=None)
+def _removed(level):
+    """The level's `removed`, read once: the carpet computes it on each read."""
+    return build_carpet_approx(level).removed
+
+
+@lru_cache(maxsize=None)
 def _removed_set(level):
-    return frozenset(build_carpet_approx(level).removed)
+    return frozenset(_removed(level))
 
 
 def test_hole_rule_matches_hole_table():
@@ -162,14 +168,14 @@ def test_hole_rule_matches_hole_table():
     otherwise the removed square whose interior holds the cell's center."""
     for level in range(6):
         c = build_carpet_approx(level)
-        table = _hole_table(level)
+        table, removed = _hole_table(level), _removed(level)
         n = 3 ** level
         for i in range(n):
             for j in range(n):
                 k, square = table[i * n + j], c.hole(i, j)
                 assert (k == -1) == (square is None) == _cell_kept(i, j, level)
                 if square is not None:
-                    assert square == c.removed[k]
+                    assert square == removed[k]
                     assert _square(square, level).contains_open(
                         (F(2 * i + 1, 2 * n), F(2 * j + 1, 2 * n)))
 
@@ -209,7 +215,7 @@ def test_peripheral_rule_matches_removed_squares(data):
     n = 3 ** level
     how = data.draw(st.sampled_from(["removed", "scale", "any"]), label="how")
     if how == "removed" and level:
-        cell = data.draw(st.sampled_from(build_carpet_approx(level).removed), label="cell")
+        cell = data.draw(st.sampled_from(_removed(level)), label="cell")
     elif how == "scale":
         side = 3 ** data.draw(st.integers(0, level), label="scale")
         i, j = (data.draw(st.integers(-2, n // side + 1)) for _ in range(2))
@@ -255,10 +261,10 @@ def test_embed_rejects_marks_off_peripheral_squares():
     ]
     for bad, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            embed_star_in_carpet(c, bad)
+            embed_star_in_carpet(c, bad, corridors(c))
     # the outer boundary is the cell (0, 0, 3^level)
     outer = [MarkedPoint((0, 0, 9), (F(1, 18), F(0)))] + marks[1:]
-    assert verify_star_in_carpet(c, embed_star_in_carpet(c, outer))
+    assert verify_star_in_carpet(c, embed_star_in_carpet(c, outer, corridors(c)))
 
 
 # the squares every scaffold marks, as the `Fraction` squares they were drawn as
@@ -476,7 +482,7 @@ def test_embed_and_verify_star():
     from coxbound.carpet import _default_mark_assignment
     c = build_carpet_approx(2)
     marks = _default_mark_assignment(c, None)
-    star = embed_star_in_carpet(c, marks)
+    star = embed_star_in_carpet(c, marks, corridors(c))
     assert verify_star_in_carpet(c, star)
     assert len(star.legs) == 4
     for leg, mark in zip(star.legs, marks):
@@ -535,7 +541,7 @@ def test_expanded_legs_are_the_router_paths(level, seed):
     original = carpet.nx
     carpet.nx = SimpleNamespace(node_disjoint_paths=recording)
     try:
-        star = embed_star_in_carpet(c, marks)
+        star = embed_star_in_carpet(c, marks, corridors(c))
     finally:
         carpet.nx = original
     centre, paths = calls[-1]           # the router stops at the first success
@@ -575,7 +581,7 @@ def _broken(star):
 
 def test_verifier_rejects_broken_star():
     c = build_carpet_approx(2)
-    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None), corridors(c))
     assert not verify_star_in_carpet(c, _broken(star))
     assert not verify_star_in_carpet(c, CarpetStar(star.center, star.legs[:3], star.marks[:3]))
     # a detour from the last kept cell down to the outer boundary, which no
@@ -638,7 +644,7 @@ def test_k5_level_too_small(monkeypatch):
             build_k5_scaffold(level=level)
 
 
-def _no_route(carpet_, marks):
+def _no_route(carpet_, marks, graph):
     raise RoutingError("stub: no route")
 
 
@@ -857,7 +863,7 @@ def _with_mark(star, k, leg, mark):
 
 def test_verifier_rejects_marks_off_peripheral_squares():
     c = build_carpet_approx(2)
-    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None), corridors(c))
     # the first leg cut at its second-to-last vertex, a kept-cell centre,
     # with the kept cell (0, 0, 1) named as its mark
     cut = star.legs[0][:-1]
@@ -895,7 +901,8 @@ def test_verifier_rejects_vertex_in_removed_square(data):
     k = data.draw(st.integers(0, 3), label="leg")
     leg = star.legs[k]
     v = data.draw(st.integers(1, len(leg) - 2), label="vertex")
-    sq = _square(data.draw(st.sampled_from(carpet.removed), label="cell"), carpet.level)
+    cell = data.draw(st.sampled_from(_removed(carpet.level)), label="cell")
+    sq = _square(cell, carpet.level)
     inside = (sq.x + sq.side / 2, sq.y + sq.side / 2)
     assert sq.contains_open(inside)
     _check_rejected(carpet, _with_leg(star, k, leg[:v] + (inside,) + leg[v + 1:]))
@@ -967,7 +974,7 @@ def test_verifier_rejects_vertex_outside_unit_square():
     put into the segment that climbs the column x = 1/18, which leaves the
     leg's point set and the verdict as they were."""
     c = build_carpet_approx(2)
-    star = embed_star_in_carpet(c, _default_mark_assignment(c, None))
+    star = embed_star_in_carpet(c, _default_mark_assignment(c, None), corridors(c))
     leg = star.legs[2]                      # climbs the column x = 1/18
     assert leg[1:3] == ((F(1, 18), F(5, 18)), (F(1, 18), F(17, 18)))
     split = _with_leg(star, 2, leg[:2] + ((F(1, 18), F(1, 2)),) + leg[2:])

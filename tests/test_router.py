@@ -10,6 +10,7 @@ comparison.
 
 import gc
 import hashlib
+import weakref
 
 import networkx as nx
 import pytest
@@ -17,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxbound import carpet
-from coxbound.carpet import (CarpetStar, RoutingError, _cell_center, _entry_cell,
-                             build_carpet_approx, build_k5_scaffold,
-                             node_disjoint_paths, scaffold_svg, scaffold_to_json,
-                             verify_k5_graph)
+from coxbound.carpet import (CarpetApprox, CarpetStar, RoutingError, _cell_center,
+                             _entry_cell, build_carpet_approx, build_k5_scaffold,
+                             corridors, node_disjoint_paths, scaffold_svg,
+                             scaffold_to_json, verify_k5_graph)
 from test_carpet import _cell_kept, _expanded
 
 
@@ -47,8 +48,9 @@ def _networkx_paths(g, s, t):
         return []
 
 
-def _networkx_embed_star(c, marks):
-    """The router as it ran on networkx: the same candidates, checks and legs."""
+def _networkx_embed_star(c, marks, graph):
+    """The router as it ran on networkx: the same candidates, checks and legs,
+    on a networkx corridor graph of its own in place of `graph`."""
     marks = tuple(marks)
     level, n = c.level, 3 ** c.level
     entries = [_entry_cell(m.point, c) for m in marks]
@@ -83,7 +85,7 @@ def _assert_corridor_paths_match_networkx(level, center, entry_ids):
     `entry_ids` of the level's corridor graph, cells by grid id, are
     networkx's."""
     n = 3 ** level
-    adjacency, _ = build_carpet_approx(level).corridors
+    adjacency, _ = corridors(build_carpet_approx(level))
     graph = _corridor_graph(level)
     graph.add_node("sink")
     for k in entry_ids:
@@ -154,7 +156,7 @@ def test_corridor_adjacency_is_increasing(level):
     cell and a removed cell has none; every list is strictly increasing, and
     stays so with the sink, 3^(2 level), the largest id, joined.  The
     candidate centers are the kept cells."""
-    adjacency, by_center = build_carpet_approx(level).corridors
+    adjacency, by_center = corridors(build_carpet_approx(level))
     n, sink = 3 ** level, 9 ** level
     assert len(adjacency) == sink
     for r, nbrs in enumerate(adjacency):
@@ -220,17 +222,38 @@ def test_level_6_scaffold():
     assert verify_k5_graph(s)
 
 
-def test_k5_request_builds_no_kept_cells():
-    """A scaffold's build, check and emission read cells by grid position:
-    none of them builds the carpet's `kept` tuple of cells, and its build,
-    check and JSON fill only the corridor lists, not `removed` either (only
-    the SVG drawing reads that)."""
-    s = build_k5_scaffold(3)
-    assert verify_k5_graph(s)
-    scaffold_to_json(s)
-    assert set(vars(s.carpet)) == {"level", "corridors"}
+def test_k5_scaffold_keeps_no_routing_state(monkeypatch):
+    """The corridor graph is the routing call's state: a scaffold build
+    makes one, routes all its distinct stars on it, and once the build
+    returns nothing reachable from the scaffold holds it.  A scaffold's
+    build, check and emission read cells by grid position: none of them
+    computes the carpet's `kept` cells, and its build, check and JSON do not
+    compute `removed` either (only the SVG drawing reads that)."""
+    class Adjacency(list):
+        """A list that a weak reference can name."""
+
+    built = []
+
+    def recording(c):
+        adjacency, by_center = corridors(c)
+        adjacency = Adjacency(adjacency)
+        built.append(weakref.ref(adjacency))
+        return adjacency, by_center
+
+    def refuse(*args):
+        raise AssertionError("computed a table of cells")
+
+    monkeypatch.setattr(carpet, "corridors", recording)
+    monkeypatch.setattr(CarpetApprox, "kept", property(refuse))
+    with monkeypatch.context() as m:
+        m.setattr(carpet, "_removed_cells", refuse)
+        s = build_k5_scaffold(2, seed=3)
+        assert len({id(star) for star in s.stars}) >= 2
+        assert len(built) == 1 and built[0]() is None
+        assert verify_k5_graph(s)
+        scaffold_to_json(s)
     scaffold_svg(s)
-    assert "kept" not in vars(s.carpet)
+    assert len(built) == 1
 
 
 def test_k5_request_leaves_no_reference_cycles():
