@@ -99,8 +99,9 @@ def corridors(carpet: CarpetApprox) -> tuple[list[list[int]], list[int]]:
         adjacency.append([s for s in (r - n if i > 0 else -1, r - 1 if j > 0 else -1,
                                       r + 1 if j < n - 1 else -1, r + n if i < n - 1 else -1)
                           if s >= 0 and kept[s]])
-    by_center = sorted((r for r, is_kept in enumerate(kept) if is_kept), key=lambda r: (
-        abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n), r))
+    # the ids arrive in increasing order and `sorted` is stable: ties stay in id order
+    by_center = sorted((r for r, is_kept in enumerate(kept) if is_kept), key=lambda r:
+                       abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n))
     return adjacency, by_center
 
 

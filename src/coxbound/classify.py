@@ -162,7 +162,7 @@ def report_to_json(r: ClassificationReport) -> str:
         s = names[i]
         for j in range(i + 1, len(row)):
             m = row[j]
-            labels.append(_LABEL.format(s, names[j], '"inf"' if m == INF else int(m)))
+            labels.append(_LABEL.format(s, names[j], '"inf"' if m == INF else m))
     euclidean = [_array([quoted[g] for g in trip], 2) for trip in r.euclidean_triples]
     return "\n".join((
         "{",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: classify, sweep, nerve, davis-ball, tessellate, carpet, k5.
-Exit codes: 0 success / in-scope verdict, 1 input error (among them a k5
---level below 2, which build_k5_scaffold refuses before it builds a carpet)
-or an --out path that cannot be written, 2 OutOfScope verdict (classify) or
-an argument that argparse rejects, 3 routing failure (k5).
+Exit codes: 0 success / in-scope verdict, 1 input error (among them an
+argument that the parser rejects and a k5 --level below 2, which
+build_k5_scaffold refuses before it builds a carpet) or an --out path that
+cannot be written, 2 OutOfScope verdict (classify), 3 routing failure (k5).
+Every exit-1 error is one stderr line that starts with "error: ".
 """
 
 from __future__ import annotations
@@ -145,9 +146,17 @@ def cmd_k5(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' parsers included, that raises what
+    it rejects as a ValueError for `main` to report, instead of printing its
+    usage and exiting 2, the OutOfScope code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="coxbound",
-                                description="Coxeter boundary classification toolkit")
+    p = _Parser(prog="coxbound", description="Coxeter boundary classification toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
@@ -190,8 +199,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input or arguments, unwritable --out
         print(f"error: {exc}", file=_sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
 INF = math.inf
@@ -28,39 +29,30 @@ class PresentationError(ValueError):
     """Raised for malformed presentation text or order matrices."""
 
 
-class _Frozen:
-    """Instances refuse assignment and deletion.  A constructor stores its
-    fields in the instance dict, where `cached_property` also keeps what it
-    computes; neither goes through `__setattr__`."""
+class CoxeterSystem:
+    """Generators plus symmetric order matrix; immutable after construction:
+    an instance refuses assignment and deletion, keeps its generators as a
+    tuple, and hands out nothing that can be mutated.
 
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CoxeterSystem(_Frozen):
-    """Generators plus symmetric order matrix; immutable after construction.
-
-    `orders` may give a pair one way round or both.  Construction checks each
-    entry, keeps the symmetric closure of the finite labels in `orders`, and
-    in the same pass fills `label_rows` (m_st by position: 1 on the diagonal,
-    INF for unlisted pairs, finite labels as given), `finite_masks` (per
-    position, the bit mask of the t with m_st finite) and `diagram_index`
-    (each generator's position, and per position the bit mask of its diagram
-    neighbours: m_st >= 3, infinity included).
+    `orders` may give a pair one way round or both; a label is INF or any
+    number equal to an int >= 2, an integral float or a `Fraction` among
+    them.  Construction checks each entry and keeps nothing of `orders`
+    itself: in the same pass it fills `label_rows`, the only label store
+    (m_st by position: 1 on the diagonal, INF for unlisted pairs, each finite
+    label as an int, both ways round), `finite_masks` (per position, the bit
+    mask of the t with m_st finite) and `diagram_index` (a read-only map of
+    each generator's position, and per position the bit mask of its diagram
+    neighbours: m_st >= 3, infinity included).  `orders` reads the labels
+    back by name.
     """
 
-    def __init__(self, generators: tuple[str, ...], orders: dict[tuple[str, str], float]):
+    def __init__(self, generators: Iterable[str], orders: dict[tuple[str, str], float]):
+        generators = tuple(generators)
         n = len(generators)
         position = {g: i for i, g in enumerate(generators)}
         if len(position) != n:
             raise PresentationError("duplicate generator")
-        closed = {}
-        rows = [[INF] * n for _ in range(n)]
+        rows = [[INF] * i + [1] + [INF] * (n - 1 - i) for i in range(n)]
         finite = [0] * n
         two = [0] * n
         for (s, t), m in orders.items():
@@ -70,28 +62,44 @@ class CoxeterSystem(_Frozen):
             if i is None or j is None:
                 raise PresentationError(f"unknown generator in pair ({s},{t})")
             # the range test first: int() fails on NaN and on -inf
-            if m != INF and not (m >= 2 and int(m) == m):
+            if m != INF and not (m >= 2 and (label := int(m)) == m):
                 raise PresentationError(f"label m({s},{t}) = {m} out of range (>= 2 or inf)")
-            back = orders.get((t, s), m)
-            if back != m:
+            if orders.get((t, s), m) != m:
                 raise PresentationError(f"asymmetric labels for pair ({s},{t})")
             if m != INF:
                 # a pair given one way round is stored both ways
-                closed[s, t] = rows[i][j] = m
-                closed[t, s] = rows[j][i] = back
+                rows[i][j] = rows[j][i] = label
                 finite[i] |= 1 << j
                 finite[j] |= 1 << i
-                if m == 2:
+                if label == 2:
                     two[i] |= 1 << j
                     two[j] |= 1 << i
-        full = (1 << n) - 1
-        for i in range(n):
-            rows[i][i] = 1
         # every pair that does not commute is a diagram edge, infinity included
-        neighbours = tuple(full ^ two[i] ^ 1 << i for i in range(n))
-        vars(self).update(generators=generators, orders=closed,
-                          label_rows=tuple(map(tuple, rows)), finite_masks=tuple(finite),
-                          diagram_index=(position, neighbours))
+        neighbours = tuple((1 << n) - 1 ^ two[i] ^ 1 << i for i in range(n))
+        # stored in the instance dict, where `cached_property` also keeps what
+        # it computes; neither goes through `__setattr__`
+        vars(self).update(generators=generators, label_rows=tuple(map(tuple, rows)),
+                          finite_masks=tuple(finite),
+                          diagram_index=(MappingProxyType(position), neighbours))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a copy or a pickle is built again from the labels
+        return self.__class__, (self.generators, self.orders)
+
+    @property
+    def orders(self) -> dict[tuple[str, str], int]:
+        """The finite labels by generator names, each pair both ways round, in
+        generator-position order: a new dict, computed from `label_rows` on
+        each read."""
+        gens = self.generators
+        return {(gens[i], gens[j]): m for i, row in enumerate(self.label_rows)
+                for j, m in enumerate(row) if 1 < m < INF}
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(generators={self.generators!r}, orders={self.orders!r})"
@@ -99,10 +107,10 @@ class CoxeterSystem(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.generators, self.orders) == (other.generators, other.orders)
+        return (self.generators, self.label_rows) == (other.generators, other.label_rows)
 
     def __hash__(self) -> int:
-        # a dict has no hash: equal systems have equal generators
+        # equal systems have equal generators; the labels stay out of the hash
         return hash((self.generators,))
 
     def m(self, s: str, t: str) -> float:
@@ -126,7 +134,7 @@ class CoxeterSystem(_Frozen):
         """(i, j, m_ij) for every pair of positions i < j with m_ij finite, in
         pair order, each label as an int."""
         rows = self.label_rows
-        return tuple((i, j, int(rows[i][j])) for i, mask in enumerate(self.finite_masks)
+        return tuple((i, j, rows[i][j]) for i, mask in enumerate(self.finite_masks)
                      for j in range(i + 1, mask.bit_length()) if mask >> j & 1)
 
     @cached_property
@@ -179,19 +187,17 @@ class CoxeterSystem(_Frozen):
 
 def make_system(generators: Iterable[str], labels: dict[tuple[str, str], float]) -> CoxeterSystem:
     """Build a system from labels given one way round or both."""
-    return CoxeterSystem(tuple(generators), dict(labels))
+    return CoxeterSystem(generators, labels)
 
 
 def complete_graph_system(n: int, label: int = 3, labels: Optional[dict] = None) -> CoxeterSystem:
     """K_n system: every pair finite.  `labels` may override individual pairs,
     keyed either way round."""
     gens = [f"s{i+1}" for i in range(n)]
-    lab = dict(labels or {})
-    for i, s in enumerate(gens):
-        for t in gens[i + 1:]:
-            if (s, t) not in lab and (t, s) not in lab:
-                lab[s, t] = label
-    return make_system(gens, lab)
+    given = labels or {}
+    rest = {(s, t): label for i, s in enumerate(gens) for t in gens[i + 1:]
+            if (s, t) not in given and (t, s) not in given}
+    return make_system(gens, {**given, **rest})
 
 
 def parse_system(text: str) -> CoxeterSystem:
@@ -273,14 +279,13 @@ def triangle_type(sys: CoxeterSystem, triple: Iterable[str]) -> str:
 
 @lru_cache(maxsize=4096)
 def _triangle(a: float, b: float, c: float) -> str:
-    """The triangle type of labels a, b, c.  The reciprocal sum is compared
-    with 1 with its denominators cleared: num / den accumulates 1/m over the
-    finite labels, so for finite labels this compares ab + bc + ca with abc;
-    an infinite label adds 0."""
+    """The triangle type of labels a, b, c, each an int or INF as `label_rows`
+    holds them.  The reciprocal sum is compared with 1 with its denominators
+    cleared: num / den accumulates 1/m over the finite labels, so for finite
+    labels this compares ab + bc + ca with abc; an infinite label adds 0."""
     num, den = 0, 1
     for m in (a, b, c):
         if m != INF:
-            m = int(m)
             num, den = num * m + den, den * m
     if num > den:
         return SPHERICAL
@@ -348,7 +353,6 @@ def _component_diagram_name(sys: CoxeterSystem, members: list[int]) -> Optional[
         m = rows[members[0]][members[1]]
         if m == INF:
             return None
-        m = int(m)
         if m == 3:
             return "A2"
         if m == 4:
@@ -371,7 +375,6 @@ def _component_diagram_name(sys: CoxeterSystem, members: list[int]) -> Optional[
                 edges += 1
                 if edges == n:
                     return None
-                m = int(m)
                 adj[i].append((j, m))
                 adj[j].append((i, m))
     branch = [i for i in members if len(adj[i]) >= 3]

@@ -143,7 +143,7 @@ MAX_RING_ORDER = 2520
 def _small_root_table(m: Sequence[Sequence[float]]) -> list[int]:
     """Reflection table of the small roots of the Coxeter matrix `m`, held as
     `CoxeterSystem.label_rows` holds it: INF for infinity, a finite label an
-    int or an integral float, and a diagonal that is not read as a label.
+    int, and a diagonal that is not read as a label.
     Simple root i has index i; entry [beta * rank + s] is the index of
     s(beta), or _NEG or _BIG.
 
@@ -158,7 +158,7 @@ def _small_root_table(m: Sequence[Sequence[float]]) -> list[int]:
     labels 7, 9, 11, 13 (N = 18018) 12.8 s and 599 MB.  A label of 10^6
     alone would ask for 10^6 power rows."""
     n = len(m)
-    finite = sorted({int(m[i][j]) for i in range(n) for j in range(n) if 3 <= m[i][j] != INF})
+    finite = sorted({m[i][j] for i in range(n) for j in range(n) if 3 <= m[i][j] != INF})
     order = 2 * math.lcm(*finite) if finite else 2
     if order > MAX_RING_ORDER:
         raise ValueError(
@@ -181,7 +181,7 @@ def _small_root_table(m: Sequence[Sequence[float]]) -> list[int]:
             two_b = {e: 2 * c for e, c in beta[s].items()}        # 2B(alpha_s, beta)
             for j in range(n):
                 if j != s and m[s][j] != 2 and beta[j]:
-                    term = beta[j] if m[s][j] == INF else ring.times_twocos(beta[j], int(m[s][j]))
+                    term = beta[j] if m[s][j] == INF else ring.times_twocos(beta[j], m[s][j])
                     two_b = _add(two_b, term, -2 if m[s][j] == INF else -1)
             sign = ring.sign(two_b)
             if sign == 0:
@@ -298,14 +298,15 @@ class CosetTable(NamedTuple):
 
 def coxeter_relators(sys: CoxeterSystem, subset: Sequence[str]) -> list[tuple[int, int, int]]:
     """Relators (st)^m_st of the subset's generators, as triples (s, t, m) of
-    subset-local indices with s < t, in pair order; infinite labels give none
-    (ValueError for a name that is not a generator).
+    subset-local indices with s < t, in pair order, m the int label as
+    `label_rows` holds it; infinite labels give none (ValueError for a name
+    that is not a generator).
 
     The involution relators s^2 are not listed: the coset kernel keeps its
     table symmetric, which enforces them."""
     pos = [sys.index(g) for g in subset]
     rows = sys.label_rows
-    return [(s, t, int(rows[i][j])) for s, i in enumerate(pos) for t, j in enumerate(pos)
+    return [(s, t, rows[i][j]) for s, i in enumerate(pos) for t, j in enumerate(pos)
             if s < t and rows[i][j] != INF]
 
 

@@ -84,6 +84,18 @@ def _cell_kept(i, j, level):
     return True
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_candidate_centers_by_distance_then_id(level):
+    """The router's candidate centers are the kept cells sorted by taxicab
+    distance from the grid center (doubled, so it stays an integer), ties in
+    increasing id order."""
+    n = 3 ** level
+    kept = [r for r in range(9 ** level) if _cell_kept(*divmod(r, n), level)]
+    expected = sorted(kept, key=lambda r: (abs(2 * (r // n) + 1 - n) + abs(2 * (r % n) + 1 - n),
+                                           r))
+    assert corridors(build_carpet_approx(level))[1] == expected
+
+
 def test_library_has_no_square_model():
     """Integer cells are the carpet's only representation: the package has
     no Square or OUTER, and a carpet no `holes` beside `removed`."""

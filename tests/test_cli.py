@@ -60,16 +60,37 @@ def test_parser_reused_across_calls(k4_file, tmp_path, capsys):
     leaves nothing behind that changes the next request."""
     first = main(["classify", "--input", k4_file])
     first_out = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--no-such-flag"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(["classify", "--no-such-flag"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert main(["classify", "--input", str(tmp_path / "missing.cox")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     again = main(["classify", "--input", k4_file])
     assert (again, capsys.readouterr()) == (first, first_out)
     assert first == 0 and first_out.out
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--no-such-flag"], "the following arguments are required: --input"),
+    (["classify"], "the following arguments are required: --input"),
+    (["classify", "--input", "k4.cox", "--no-such-flag"],
+     "unrecognized arguments: --no-such-flag"),
+    (["k5", "--level", "x"], "argument --level: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_rejected_arguments_exit_1(argv, message, capsys):
+    """An argument the parser rejects is an input error: exit 1, nothing on
+    stdout and one `error:` line, not argparse's usage text and exit 2, which
+    is the OutOfScope code."""
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coxbound classify ")
 
 
 def test_sweep_csv(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -94,7 +96,7 @@ def test_system_construction_errors():
 def test_label_rows_and_masks():
     sysm = make_system("dcba", {("d", "c"): 2, ("d", "b"): 3, ("c", "a"): 4.0, ("b", "a"): 5})
     assert sysm.label_rows == ((1, 2, 3, INF), (2, 1, INF, 4.0), (3, INF, 1, 5), (INF, 4.0, 5, 1))
-    assert type(sysm.label_rows[1][3]) is float
+    assert type(sysm.label_rows[1][3]) is int
     assert sysm.finite_masks == (0b0110, 0b1001, 0b1001, 0b0110)
     # diagram neighbours: m >= 3, infinity included
     assert sysm.diagram_index == ({"d": 0, "c": 1, "b": 2, "a": 3},
@@ -428,3 +430,111 @@ def test_parse_format_roundtrip(data):
     text = format_system(sysm)
     assert parse_system(text) == sysm
     assert format_system(parse_system(text)) == text
+
+
+# --- one label store ------------------------------------------------------------
+
+def test_handed_out_labels_cannot_change_the_system():
+    """`orders` is a new dict on each read and the position index refuses
+    writes, so neither can make a system disagree with itself."""
+    a = make_system("abc", {("a", "b"): 3, ("b", "c"): 3})
+    b = make_system("abc", {("a", "b"): 3, ("b", "c"): 3})
+    text, index = repr(a), dict(a.diagram_index[0])
+    word = tits_normal_form(a, "aba")
+    handed = a.orders
+    assert handed is not a.orders
+    handed[("a", "b")] = 7
+    del handed[("b", "c")]
+    with pytest.raises(TypeError):
+        a.diagram_index[0]["a"] = 2
+    assert a == b and hash(a) == hash(b) and repr(a) == text
+    assert a.orders == b.orders == {("a", "b"): 3, ("b", "a"): 3, ("b", "c"): 3, ("c", "b"): 3}
+    assert a.m("a", "b") == 3 and a.index("a") == 0
+    assert a.diagram_index[0] == index
+    assert tits_normal_form(a, "aba") == word
+    assert tits_normal_form(a, "a").word == ("a",)
+    # the generators are kept as a tuple, whatever sequence they came in
+    names = ["a", "b", "c"]
+    listed = CoxeterSystem(names, {("a", "b"): 3, ("b", "c"): 3})
+    names.append("d")
+    assert listed.generators == ("a", "b", "c") and listed == a and hash(listed) == hash(a)
+
+
+def test_labels_stored_as_int_both_ways():
+    sysm = CoxeterSystem(("a", "b"), {("a", "b"): 3, ("b", "a"): 3.0})
+    assert sysm.label_rows == ((1, 3), (3, 1))
+    assert [type(m) for row in sysm.label_rows for m in row] == [int] * 4
+    assert type(sysm.m("b", "a")) is int
+    assert repr(sysm) == "CoxeterSystem(generators=('a', 'b'), orders={('a', 'b'): 3, ('b', 'a'): 3})"
+    # numpy ints and Fractions are read the same way
+    assert make_system("ab", {("b", "a"): np.int64(5)}) == make_system("ab", {("a", "b"): Fraction(5)})
+
+
+def _int_or_inf_rows(sysm):
+    return all(m == INF or type(m) is int for row in sysm.label_rows for m in row)
+
+
+def test_every_construction_path_stores_int_labels():
+    systems = [
+        CoxeterSystem(("a", "b", "c"), {("a", "b"): 4.0, ("c", "b"): Fraction(3)}),
+        make_system("abc", {("a", "b"): 2.0, ("b", "a"): 2, ("a", "c"): INF}),
+        complete_graph_system(4, label=3.0, labels={("s2", "s1"): Fraction(6), ("s3", "s4"): 4.0}),
+        parse_system("gens a b c\na b 3\nb c inf\nc a 6\n"),
+    ]
+    for sysm in systems:
+        assert _int_or_inf_rows(sysm), sysm
+        assert all(row == col for row, col in zip(sysm.label_rows, zip(*sysm.label_rows)))
+
+
+def test_copies_rebuild_the_system():
+    sysm = complete_graph_system(4, labels={("s1", "s2"): 2, ("s3", "s4"): INF})
+    for again in (copy.deepcopy(sysm), pickle.loads(pickle.dumps(sysm))):
+        assert again == sysm and again.label_rows == sysm.label_rows
+        assert again.diagram_index == sysm.diagram_index
+
+
+def closed_orders(orders):
+    """The name-keyed label store as the constructor once kept it: the
+    symmetric closure of the finite labels, each pair as given, its reverse
+    as given or as its mirror."""
+    closed = {}
+    for (s, t), m in orders.items():
+        if m != INF:
+            closed[s, t] = m
+            closed[t, s] = orders.get((t, s), m)
+    return closed
+
+
+_LABELS = [2, 3, 4, 5, 6, 7, INF, 2.0, 3.0, 4.0, 5.0, 6.0, Fraction(3)]
+
+
+def _labels(data, gens, values):
+    """`values` (one per pair of `gens`) given one way round, the other, or
+    both, the second time in a form drawn among the equal ones."""
+    orders = {}
+    for (s, t), m in zip(combinations(gens, 2), values):
+        way = data.draw(st.sampled_from(["st", "ts", "both"]))
+        if way != "ts":
+            orders[s, t] = m
+        if way != "st":
+            forms = [m] if m == INF else [m, int(m), float(m), Fraction(int(m))]
+            orders[t, s] = data.draw(st.sampled_from(forms))
+    return orders
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_label_store_matches_closed_dict_oracle(data):
+    gens = data.draw(st.permutations(_NAME_POOL), label="names")[:data.draw(st.integers(1, 6))]
+    values = [data.draw(st.sampled_from(_LABELS)) for _ in combinations(gens, 2)]
+    first = _labels(data, gens, values)
+    if not data.draw(st.booleans(), label="same labels"):
+        values = [data.draw(st.sampled_from([m, 2, INF])) for m in values]
+    second = _labels(data, gens, values)
+    a, b = CoxeterSystem(tuple(gens), first), make_system(gens, second)
+    assert a.orders == closed_orders(first) and b.orders == closed_orders(second)
+    for sysm in (a, b):
+        assert _int_or_inf_rows(sysm)
+        assert all(row == col for row, col in zip(sysm.label_rows, zip(*sysm.label_rows)))
+        assert hash(sysm) == hash((tuple(gens),))
+    assert (a == b) == (closed_orders(first) == closed_orders(second))
